@@ -184,6 +184,9 @@ main(int argc, char** argv)
     Flags flags(argc, argv);
     std::uint64_t iterations = flags.u64("iterations", 5000);
     std::size_t maxDepth = flags.u64("depth", 6);
+    std::uint64_t requests = flags.u64("requests", 2000);
+    JsonReport json(flags);
+    flags.finish();
 
     header("Ablation: multi-level nesting cost (paper §VIII)");
     note("validation latency grows with the chain-walk distance; entry");
@@ -243,8 +246,6 @@ main(int argc, char** argv)
     }
 
     // --- served depth curve (CVM -> gateway -> tenant shape) -------------
-    std::uint64_t requests = flags.u64("requests", 2000);
-    JsonReport json;
     header("Served depth curve: chain-routed dispatch at depth 2/3/4");
     note("leaf handler reads root heap: every request pays the outer-");
     note("closure validation; the closure cache prices a hit flat");
@@ -278,6 +279,6 @@ main(int argc, char** argv)
         return 1;
     }
     note("closure cache keeps validation flat: depth-3 <= 1.15x depth-2");
-    json.writeIfRequested(flags);
+    json.write();
     return 0;
 }

@@ -158,6 +158,7 @@ main(int argc, char** argv)
     Flags flags(argc, argv);
     std::uint64_t count = flags.u64("enclaves", 500);
     std::uint64_t scale = flags.u64("scale", 16);
+    flags.finish();
 
     header("Fig. 10: time to load enclaves running an OpenSSL server");
     note("paper: nested shortens load time and shrinks footprint as more");

@@ -173,6 +173,7 @@ main(int argc, char** argv)
     using namespace nesgx::bench;
     Flags flags(argc, argv);
     std::uint64_t volume = flags.u64("volume", 8ull << 20);
+    flags.finish();
 
     header("Fig. 11: intra-enclave channel (MEE) vs AES-GCM over "
            "untrusted memory");

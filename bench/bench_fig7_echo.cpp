@@ -97,7 +97,8 @@ main(int argc, char** argv)
     // --chrome-trace PATH: export one nested run (1 KiB chunks) as a
     // chrome://tracing JSON on the simulated-clock timeline.
     const std::string chromeTrace = flags.str("chrome-trace", "");
-    JsonReport json;
+    JsonReport json(flags);
+    flags.finish();
 
     if (!chromeTrace.empty()) {
         std::uint64_t messages = std::max<std::uint64_t>(volume / 1024, 4);
@@ -203,6 +204,6 @@ main(int argc, char** argv)
                  double(tagged.stats.closureCacheHits));
     }
 
-    json.writeIfRequested(flags);
+    json.write();
     return 0;
 }

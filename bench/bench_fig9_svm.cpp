@@ -63,6 +63,7 @@ main(int argc, char** argv)
     using nesgx::svm::Dataset;
     Flags flags(argc, argv);
     std::uint64_t rowCap = flags.u64("rows", 200);
+    flags.finish();
 
     header("Fig. 9: LibSVM train/predict time, nested normalized to "
            "monolithic");

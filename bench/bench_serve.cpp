@@ -82,293 +82,191 @@
 #include "fault/injector.h"
 #include "migrate/engine.h"
 #include "serve/client.h"
+#include "serve/scenario.h"
 #include "serve/service.h"
 #include "supervise/supervisor.h"
-#include "trace/chrome_sink.h"
 
 namespace nesgx::bench {
 namespace {
 
-struct ServeResult {
-    std::uint64_t submitted = 0;
-    std::uint64_t verified = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t backpressured = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t eenter = 0;
-    std::uint64_t neenter = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t batchedRequests = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t reloads = 0;
-    std::uint64_t watermarkMisses = 0;
-    /** EENTER+NEENTER after the post-arming snapshot: the request-path
-     *  transition count the per-request figure divides. */
-    std::uint64_t transitions = 0;
-    std::uint64_t switchlessChannels = 0;
-    std::uint64_t ringCalls = 0;
-    std::uint64_t ringPolls = 0;
-    Histogram latency;
-    // Chaos-mode (faultSpec armed) extras.
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t faultSites = 0;  ///< distinct sites that actually fired
-    std::uint64_t typedErrors = 0;
-    std::uint64_t silentEmpties = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t rebuilds = 0;
-    std::uint64_t breakerOpens = 0;
-    std::uint64_t breakerCloses = 0;
-    std::uint64_t recovered = 0;
-    Histogram rebuildLatency;
-    // Migration-mode (migrateEvery > 0) extras.
-    std::uint64_t migrations = 0;       ///< committed gateway moves
-    std::uint64_t migrateAborted = 0;   ///< aborted attempts (source intact)
-};
-
-struct ServeParams {
-    std::uint64_t tenants = 6;
-    std::uint64_t requests = 240;
-    std::size_t batch = 8;
-    std::uint64_t epcPages = 0;     ///< 0 = ample EPC
-    std::uint64_t deadline = 0;     ///< relative cycles; 0 = no shedding
-    bool openLoop = false;          ///< burst arrivals instead of paced
-    bool switchless = false;        ///< exit-less ring dispatch
-    bool cvm = false;               ///< depth-3 CVM -> gateway -> tenant tree
-    std::string faultSpec;          ///< FaultPlan spec; empty = no injector
-    std::uint64_t faultSeed = 1;
-    /** Every N submitted requests, live-migrate the next tenant (round
-     *  robin) to another gateway mid-run; 0 = no migrations. */
-    std::uint64_t migrateEvery = 0;
-    std::string chromeTracePath;
-};
-
-ServeResult
-runServe(const ServeParams& params)
+/** Sections 3-5, 7 and 9: 4x the tenants and twice the requests of
+ *  sections 1-2, on an EPC far smaller than the fleet's working set. */
+serve::Scenario
+oversubscribed(std::uint64_t tenants, std::uint64_t requests,
+               std::uint64_t epcPages)
 {
-    auto config = defaultConfig();
-    const std::uint64_t tenantsPerOuter = 4;
-    const std::uint64_t gatewayEstimate =
-        (params.tenants + tenantsPerOuter - 1) / tenantsPerOuter;
-    if (params.switchless) {
-        // One parked poller core per tenant, one per gateway outer,
-        // plus the host workers: polling trades cores for transitions,
-        // so the simulated socket grows with the fleet (same sizing as
-        // nesgx_serve --switchless; the cvm tree parks one more poller
-        // inside the shared root).
-        config.coreCount = std::uint32_t(
-            params.tenants + gatewayEstimate + (params.cvm ? 3 : 2));
-    }
-    if (params.epcPages > 0) {
-        // Shrink the PRM so tenant working sets exceed the EPC and the
-        // pressure manager has to page (same knob as nesgx_serve
-        // --epc-pages; +64 pages of VA-tracking slack).
-        config.prmBytes = (params.epcPages + 64) * hw::kPageSize;
-    }
-    BenchWorld world(config);
-
-    std::unique_ptr<trace::ChromeTraceSink> sink;
-    if (!params.chromeTracePath.empty()) {
-        sink = std::make_unique<trace::ChromeTraceSink>(
-            world.machine.clock().frequencyHz() / 1e6, false);
-        world.machine.trace().subscribe(sink.get());
-    }
-
-    serve::TenantService::Config sc;
-    sc.pool.batchSize = params.batch;
-    sc.admission.deadlineCycles = params.deadline;
-    sc.switchless.enabled = params.switchless;
-    sc.switchless.hostCores = 2;
-    if (params.cvm) {
-        sc.registry.topology = serve::Topology::Cvm;
-        sc.registry.cvmTcs =
-            std::uint32_t(params.tenants + gatewayEstimate + 5);
-        sc.registry.cvmHeapPages = 64 + 8 * gatewayEstimate;
-    }
-    if (!params.faultSpec.empty()) {
-        // Same knobs as nesgx_serve --chaos: a single failed batch opens
-        // the breaker so the open/probe/close cycle runs in-window.
-        sc.pool.breakerThreshold = 1;
-        sc.pool.breakerCooldownCycles = 150000;
-    }
-    // Attested trust path everywhere: onboarding runs the NEREPORT
-    // chain challenge and the clients below seal with the verifier's
-    // EGETKEY-rooted session keys instead of out-of-band secrets.
-    sc.attestOnboarding = true;
-    serve::TenantService service(*world.urts, sc);
-
-    // sql expectations replay on a client-side shadow database, which
-    // needs lossless delivery; under deadline shedding or fault
-    // injection (both drop requests) stick to the per-request echo/svm
-    // workloads.
-    const std::vector<serve::Workload> mix =
-        (params.deadline == 0 && params.faultSpec.empty())
-            ? std::vector<serve::Workload>{serve::Workload::Echo,
-                                           serve::Workload::Sql,
-                                           serve::Workload::Svm}
-            : std::vector<serve::Workload>{serve::Workload::Echo,
-                                           serve::Workload::Svm};
-
-    std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (std::uint64_t t = 0; t < params.tenants; ++t) {
-        auto workload = mix[t % mix.size()];
-        service.addTenant(serve::TenantId(t), workload).orThrow("tenant");
-        const Bytes key = service.sessionKeyFor(serve::TenantId(t));
-        clients.push_back(std::make_unique<serve::TenantClient>(
-            serve::TenantId(t), workload, key));
-    }
-
-    // Park the switchless pollers while the world is still fault-free,
-    // then snapshot the transition counters: everything after this point
-    // is the request path the transitions-per-request figure describes
-    // (classic runs snapshot here too, so the modes compare like for
-    // like — setup and arming traffic excluded from all three).
-    const std::size_t armedChannels = service.armSwitchless();
-    const std::uint64_t transitionsBase =
-        world.machine.trace().counters().eenterCount +
-        world.machine.trace().counters().neenterCount;
-
-    // Armed only after setup so tenant construction never faults and the
-    // trigger occurrence counts exclude the setup's leaf traffic.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!params.faultSpec.empty()) {
-        auto plan = fault::FaultPlan::parse(params.faultSpec);
-        plan.orThrow("fault spec");
-        injector = std::make_unique<fault::FaultInjector>(plan.value(),
-                                                          params.faultSeed);
-        world.machine.setFaultInjector(injector.get());
-    }
-
-    ServeResult result;
-    auto drainInto = [&]() {
-        std::set<serve::TenantId> rebuiltSeen;
-        for (serve::Completion& done : service.drain()) {
-            result.latency.add(done.latencyCycles);
-            if (done.tenantRebuilt &&
-                rebuiltSeen.insert(done.tenant).second) {
-                clients[done.tenant]->onTenantRebuilt();
-            }
-            if (done.ok) {
-                if (clients[done.tenant]->onResponse(done.sealedResponse)) {
-                    ++result.verified;
-                }
-            } else if (done.status.isOk()) {
-                ++result.silentEmpties;
-            } else {
-                ++result.typedErrors;
-                if (!done.tenantRebuilt) clients[done.tenant]->onDropped();
-            }
-        }
-    };
-
-    migrate::MigrationEngine migrator;
-    std::uint64_t cursor = 0;
-    std::uint64_t migrateCursor = 0;
-    while (result.submitted < params.requests) {
-        const serve::TenantId t = serve::TenantId(cursor % params.tenants);
-        ++cursor;
-        Bytes req = clients[t]->nextRequest();
-        Status st = service.submit(t, std::move(req));
-        if (st.code() == Err::Backpressure) {
-            ++result.backpressured;
-            clients[t]->onDropped();
-            service.pump(4);
-            drainInto();
-            continue;
-        }
-        st.orThrow("submit");
-        ++result.submitted;
-        // Mid-run live migration: the tenant's sealed session (and any
-        // queued requests) must survive the gateway move transparently.
-        if (params.migrateEvery > 0 &&
-            result.submitted % params.migrateEvery == 0) {
-            (void)migrator.migrateToGateway(
-                service,
-                serve::TenantId(migrateCursor++ % params.tenants));
-        }
-        // Closed loop pumps once per full round of batches; open loop
-        // keeps bursting until backpressure does the pacing.
-        const std::uint64_t window = params.openLoop
-                                         ? params.requests
-                                         : params.batch * params.tenants;
-        if (result.submitted % window == 0) {
-            service.pump();
-            drainInto();
-        }
-    }
-    service.pump();
-    drainInto();
-    result.migrations = migrator.stats().gatewayMoves;
-    result.migrateAborted = migrator.stats().aborted;
-
-    if (injector) {
-        // Recovery phase: stop injecting, then drive every tenant until
-        // it serves a verified response again (breaker probes come due
-        // as the clock charge passes the cooldown between rounds).
-        injector->disarm();
-        std::vector<bool> healed(params.tenants, false);
-        for (int round = 0;
-             round < 64 && result.recovered < params.tenants; ++round) {
-            for (std::uint64_t t = 0; t < params.tenants; ++t) {
-                if (healed[t]) continue;
-                const std::uint64_t was = clients[t]->verified();
-                Status st = service.submit(serve::TenantId(t),
-                                           clients[t]->nextRequest());
-                if (!st) clients[t]->onDropped();
-                service.pump();
-                drainInto();
-                if (clients[t]->verified() > was) {
-                    healed[t] = true;
-                    ++result.recovered;
-                }
-            }
-            world.machine.charge(sc.pool.breakerCooldownCycles + 1);
-        }
-        result.faultsInjected = injector->totalInjected();
-        for (std::size_t s = 0; s < fault::kFaultSiteCount; ++s) {
-            if (injector->injected(fault::FaultSite(s)) > 0) {
-                ++result.faultSites;
-            }
-        }
-        result.retries = service.pool().retries();
-        result.rebuilds = service.pool().rebuilds();
-        result.breakerOpens = service.pool().breakerOpens();
-        result.breakerCloses = service.pool().breakerCloses();
-        result.rebuildLatency = service.pool().rebuildLatency();
-    }
-
-    for (const auto& client : clients) {
-        result.failures += client->failures();
-    }
-    result.shed = service.admission().shed();
-    result.watermarkMisses = service.pressure().watermarkMisses();
-    const auto& counters = world.machine.trace().counters();
-    result.eenter = counters.eenterCount;
-    result.neenter = counters.neenterCount;
-    result.batches = counters.serveBatches;
-    result.batchedRequests = counters.serveBatchedRequests;
-    result.evictions = counters.serveTenantEvictions;
-    result.reloads = counters.serveTenantReloads;
-    result.transitions =
-        counters.eenterCount + counters.neenterCount - transitionsBase;
-    result.switchlessChannels = armedChannels;
-    result.ringPolls = counters.switchlessPolls;
-    if (const auto* engine = service.switchlessEngine()) {
-        result.ringCalls = engine->engineStats().calls;
-    }
-
-    if (sink) {
-        world.machine.trace().unsubscribe(sink.get());
-        if (sink->writeFile(params.chromeTracePath)) {
-            std::printf("  [chrome trace written to %s (%zu events)]\n",
-                        params.chromeTracePath.c_str(), sink->eventCount());
-        } else {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         params.chromeTracePath.c_str());
-            std::exit(1);
-        }
-    }
-    return result;
+    serve::Scenario scenario;
+    scenario.tenants = tenants * 4;
+    scenario.requests = requests * 2;
+    scenario.epcPages = epcPages;
+    return scenario;
 }
+
+/** Runs one serving scenario, exiting like nesgx_serve on a refused
+ *  scenario (2) or a run that could not finish (1). */
+serve::ScenarioResult
+runScenario(const serve::Scenario& scenario)
+{
+    std::string why;
+    if (!scenario.validate(&why)) {
+        std::fprintf(stderr, "error: %s\n", why.c_str());
+        std::exit(2);
+    }
+    serve::ScenarioResult r = scenario.run();
+    if (!r.status) {
+        std::fprintf(stderr, "error: %s\n", r.error.c_str());
+        std::exit(1);
+    }
+    if (!scenario.chromeTrace.empty()) {
+        std::printf("  [chrome trace written to %s]\n",
+                    scenario.chromeTrace.c_str());
+    }
+    return r;
+}
+
+void
+printLatency(const Histogram& latency)
+{
+    std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
+                (unsigned long long)latency.p50(),
+                (unsigned long long)latency.p95(),
+                (unsigned long long)latency.p99());
+}
+
+/** Sections 3 and 7: prints the oversubscribed fleet's integrity and
+ *  paging, and requires that the pressure manager really paged. */
+bool
+paged(const serve::ScenarioResult& r, std::uint64_t tenants)
+{
+    const std::uint64_t evictions = r.counters.serveTenantEvictions;
+    std::printf("\n  tenants %llu, verified %llu/%llu, failures %llu\n",
+                (unsigned long long)tenants, (unsigned long long)r.verified,
+                (unsigned long long)r.submitted,
+                (unsigned long long)r.failures);
+    std::printf("  tenant evictions %llu, reloads %llu\n",
+                (unsigned long long)evictions,
+                (unsigned long long)r.counters.serveTenantReloads);
+    if (evictions >= 10) return true;
+    std::fprintf(stderr, "FAIL: expected >= 10 evictions, got %llu\n",
+                 (unsigned long long)evictions);
+    return false;
+}
+
+void
+printFaults(const serve::ScenarioResult& r)
+{
+    std::printf("\n  faults injected %llu at %llu sites; verified %llu, "
+                "typed errors %llu, silent empties %llu\n",
+                (unsigned long long)r.faultsInjected,
+                (unsigned long long)r.faultSites,
+                (unsigned long long)r.verified,
+                (unsigned long long)r.typedErrors,
+                (unsigned long long)r.silentEmpties);
+}
+
+/** Sections 4 and 9: faults fired, nothing failed verification or came
+ *  back empty without a typed error, and every tenant served verified
+ *  responses again once the faults stopped. */
+bool
+selfHealed(const serve::ScenarioResult& r, const serve::Scenario& scenario,
+           const char* run)
+{
+    if (r.failures > 0 || r.silentEmpties > 0) {
+        std::fprintf(stderr,
+                     "FAIL: %s run: %llu integrity failures, %llu silent "
+                     "empties\n",
+                     run, (unsigned long long)r.failures,
+                     (unsigned long long)r.silentEmpties);
+        return false;
+    }
+    if (r.faultsInjected == 0 || r.recovered < scenario.tenants) {
+        std::fprintf(stderr,
+                     "FAIL: %s run must inject (got %llu) and recover every "
+                     "tenant (got %llu/%llu)\n",
+                     run, (unsigned long long)r.faultsInjected,
+                     (unsigned long long)r.recovered,
+                     (unsigned long long)scenario.tenants);
+        return false;
+    }
+    return true;
+}
+
+/** Sections 5 and 7: every request verified, and the ring path kept the
+ *  steady state (near) transition-free. */
+bool
+exitless(const serve::ScenarioResult& r, const char* run)
+{
+    if (r.failures > 0 || r.verified != r.submitted) {
+        std::fprintf(stderr,
+                     "FAIL: %s run must verify every request (%llu/%llu, "
+                     "%llu failures)\n",
+                     run, (unsigned long long)r.verified,
+                     (unsigned long long)r.submitted,
+                     (unsigned long long)r.failures);
+        return false;
+    }
+    const double perReq = double(r.transitions) / double(r.submitted);
+    if (perReq > 0.01) {
+        std::fprintf(stderr,
+                     "FAIL: %s transitions/request %.4f exceeds 0.01 — the "
+                     "exit-less path is leaking transitions\n",
+                     run, perReq);
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Sections 8 and 10: two simulated hosts (distinct sealing-key roots,
+ * 1024-page EPCs) behind a Fleet router, tenants onboarded attested on
+ * host A.
+ */
+struct TwoHostFleet {
+    static sgx::Machine::Config hostConfig(std::uint64_t seed)
+    {
+        auto config = defaultConfig();
+        config.rngSeed = seed;  // distinct sealing-key root per host
+        config.prmBytes = (1024 + 64) * hw::kPageSize;
+        return config;
+    }
+
+    static serve::TenantService::Config attested()
+    {
+        serve::TenantService::Config sc;
+        sc.attestOnboarding = true;
+        return sc;
+    }
+
+    BenchWorld hostA{hostConfig(42)};
+    BenchWorld hostB{hostConfig(99)};
+    serve::TenantService serviceA{*hostA.urts, attested()};
+    serve::TenantService serviceB{*hostB.urts, attested()};
+    migrate::Fleet fleet;
+    migrate::MigrationEngine engine;
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+
+    TwoHostFleet()
+    {
+        fleet.addHost(serviceA);
+        fleet.addHost(serviceB);
+    }
+
+    /** Onboards tenants 0..n-1 (echo/sql/svm round robin) on host A,
+     *  each with a client sealing under its attested session key. */
+    void onboard(std::uint64_t n)
+    {
+        const serve::Workload mix[] = {serve::Workload::Echo,
+                                       serve::Workload::Sql,
+                                       serve::Workload::Svm};
+        for (std::uint64_t t = 0; t < n; ++t) {
+            const serve::TenantId id = serve::TenantId(t);
+            const serve::Workload workload = mix[t % 3];
+            fleet.addTenant(id, workload, 0).orThrow("tenant");
+            clients.push_back(std::make_unique<serve::TenantClient>(
+                id, workload, fleet.hostOf(id)->sessionKeyFor(id)));
+        }
+    }
+};
 
 struct ScalingResult {
     std::uint64_t submitted = 0;
@@ -453,10 +351,14 @@ main(int argc, char** argv)
     using namespace nesgx;
     using namespace nesgx::bench;
     Flags flags(argc, argv);
-    std::uint64_t tenants = flags.u64("tenants", 6);
-    std::uint64_t requests = flags.u64("requests", 240);
+    const std::uint64_t tenants = flags.u64("tenants", 6);
+    const std::uint64_t requests = flags.u64("requests", 240);
     const std::string chromeTrace = flags.str("chrome-trace", "");
-    JsonReport json;
+    const std::uint64_t faultSeed = flags.u64("fault-seed", 7);
+    const std::uint64_t scalingPerTenant =
+        flags.u64("scaling-per-tenant", 20);
+    JsonReport json(flags);
+    flags.finish();
 
     header("Serve bench 1/10: NEENTER per request vs worker batch size");
     note("closed loop, ample EPC; one EENTER+NEENTER per dispatched batch,");
@@ -465,22 +367,24 @@ main(int argc, char** argv)
                 "NEENTER", "neenter/req", "req/batch", "p50 cyc", "p99 cyc");
     for (std::size_t batch : {std::size_t(1), std::size_t(2), std::size_t(4),
                               std::size_t(8)}) {
-        ServeParams params;
-        params.tenants = tenants;
-        params.requests = requests;
-        params.batch = batch;
-        ServeResult r = runServe(params);
+        serve::Scenario scenario;
+        scenario.tenants = tenants;
+        scenario.requests = requests;
+        scenario.batch = batch;
+        const serve::ScenarioResult r = runScenario(scenario);
         if (r.failures > 0) {
             std::fprintf(stderr, "FAIL: %llu integrity failures at batch %zu\n",
                          (unsigned long long)r.failures, batch);
             return 1;
         }
-        double perReq = double(r.neenter) / double(r.submitted);
+        const trace::StatsCounters& c = r.counters;
+        double perReq = double(c.neenterCount) / double(r.submitted);
         std::printf("  %6zu %10llu %12llu %12.3f %14.2f %10llu %10llu\n",
                     batch, (unsigned long long)r.verified,
-                    (unsigned long long)r.neenter, perReq,
-                    r.batches ? double(r.batchedRequests) / double(r.batches)
-                              : 0.0,
+                    (unsigned long long)c.neenterCount, perReq,
+                    c.serveBatches ? double(c.serveBatchedRequests) /
+                                         double(c.serveBatches)
+                                   : 0.0,
                     (unsigned long long)r.latency.p50(),
                     (unsigned long long)r.latency.p99());
         json.set("neenter_per_req_batch" + std::to_string(batch), perReq);
@@ -506,13 +410,12 @@ main(int argc, char** argv)
     note("queues push back (Err::Backpressure) and queued requests that");
     note("outlive their deadline are shed at dequeue, never dispatched");
     {
-        ServeParams params;
-        params.tenants = tenants;
-        params.requests = requests;
-        params.batch = 8;
-        params.deadline = 150000;
-        params.openLoop = true;
-        ServeResult r = runServe(params);
+        serve::Scenario scenario;
+        scenario.tenants = tenants;
+        scenario.requests = requests;
+        scenario.deadline = 150000;
+        scenario.openLoop = true;
+        const serve::ScenarioResult r = runScenario(scenario);
         if (r.failures > 0) {
             std::fprintf(stderr, "FAIL: %llu integrity failures open-loop\n",
                          (unsigned long long)r.failures);
@@ -524,10 +427,7 @@ main(int argc, char** argv)
                     (unsigned long long)r.verified,
                     (unsigned long long)r.shed,
                     (unsigned long long)r.backpressured);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
+        printLatency(r.latency);
         json.set("open_loop_verified", double(r.verified));
         json.set("open_loop_shed", double(r.shed));
         json.set("open_loop_backpressured", double(r.backpressured));
@@ -540,27 +440,14 @@ main(int argc, char** argv)
     note("them transparently (ELDU); every sealed response must still");
     note("verify against the client's shadow expectations");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1024;
-        params.chromeTracePath = chromeTrace;
-        ServeResult r = runServe(params);
-        std::printf("\n  tenants %llu, verified %llu/%llu, failures %llu\n",
-                    (unsigned long long)params.tenants,
-                    (unsigned long long)r.verified,
-                    (unsigned long long)r.submitted,
-                    (unsigned long long)r.failures);
-        std::printf("  tenant evictions %llu, reloads %llu\n",
-                    (unsigned long long)r.evictions,
-                    (unsigned long long)r.reloads);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
-        json.set("pressure_evictions", double(r.evictions));
-        json.set("pressure_reloads", double(r.reloads));
+        serve::Scenario scenario = oversubscribed(tenants, requests, 1024);
+        scenario.chromeTrace = chromeTrace;
+        const serve::ScenarioResult r = runScenario(scenario);
+        if (!paged(r, scenario.tenants)) return 1;
+        printLatency(r.latency);
+        json.set("pressure_evictions",
+                 double(r.counters.serveTenantEvictions));
+        json.set("pressure_reloads", double(r.counters.serveTenantReloads));
         json.set("pressure_watermark_misses", double(r.watermarkMisses));
         json.set("pressure_integrity_failures", double(r.failures));
         json.set("pressure_verified", double(r.verified));
@@ -569,11 +456,6 @@ main(int argc, char** argv)
         json.set("pressure_p99_cycles", double(r.latency.p99()));
         if (r.failures > 0) {
             std::fprintf(stderr, "FAIL: integrity failures under pressure\n");
-            return 1;
-        }
-        if (r.evictions < 10) {
-            std::fprintf(stderr, "FAIL: expected >= 10 evictions, got %llu\n",
-                         (unsigned long long)r.evictions);
             return 1;
         }
     }
@@ -585,24 +467,11 @@ main(int argc, char** argv)
     note("tenants behind per-tenant circuit breakers, and every request must");
     note("end verified or with a typed error — never a silent empty");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1024;
-        params.faultSpec =
-            "ewb-corrupt@n=3; ewb-drop-slot@n=9; eldu-fail@n=15;"
-            "eenter-fail@every=40; neenter-fail@every=45;"
-            "epc-alloc-fail@every=150; aex-storm@every=100";
-        params.faultSeed = flags.u64("fault-seed", 7);
-        ServeResult r = runServe(params);
-        std::printf("\n  faults injected %llu at %llu sites; verified %llu, "
-                    "typed errors %llu, silent empties %llu\n",
-                    (unsigned long long)r.faultsInjected,
-                    (unsigned long long)r.faultSites,
-                    (unsigned long long)r.verified,
-                    (unsigned long long)r.typedErrors,
-                    (unsigned long long)r.silentEmpties);
+        serve::Scenario scenario = oversubscribed(tenants, requests, 1024);
+        scenario.chaos = true;
+        scenario.faultSeed = faultSeed;
+        const serve::ScenarioResult r = runScenario(scenario);
+        printFaults(r);
         std::printf("  retries %llu, rebuilds %llu, breaker open/close "
                     "%llu/%llu, recovered %llu/%llu\n",
                     (unsigned long long)r.retries,
@@ -610,7 +479,7 @@ main(int argc, char** argv)
                     (unsigned long long)r.breakerOpens,
                     (unsigned long long)r.breakerCloses,
                     (unsigned long long)r.recovered,
-                    (unsigned long long)params.tenants);
+                    (unsigned long long)scenario.tenants);
         if (!r.rebuildLatency.empty()) {
             std::printf("  rebuild cycles: p50 %llu  p95 %llu\n",
                         (unsigned long long)r.rebuildLatency.p50(),
@@ -628,24 +497,9 @@ main(int argc, char** argv)
         json.set("chaos_watermark_misses", double(r.watermarkMisses));
         json.set("chaos_rebuild_p50_cycles", double(r.rebuildLatency.p50()));
         json.set("chaos_rebuild_p95_cycles", double(r.rebuildLatency.p95()));
-        if (r.failures > 0 || r.silentEmpties > 0) {
-            std::fprintf(stderr,
-                         "FAIL: chaos run: %llu integrity failures, %llu "
-                         "silent empties\n",
-                         (unsigned long long)r.failures,
-                         (unsigned long long)r.silentEmpties);
-            return 1;
-        }
-        if (r.faultsInjected == 0 || r.rebuilds == 0 ||
-            r.recovered < params.tenants) {
-            std::fprintf(stderr,
-                         "FAIL: chaos run must inject (got %llu), rebuild "
-                         "(got %llu) and recover every tenant (got "
-                         "%llu/%llu)\n",
-                         (unsigned long long)r.faultsInjected,
-                         (unsigned long long)r.rebuilds,
-                         (unsigned long long)r.recovered,
-                         (unsigned long long)params.tenants);
+        if (!selfHealed(r, scenario, "chaos")) return 1;
+        if (r.rebuilds == 0) {
+            std::fprintf(stderr, "FAIL: chaos run rebuilt no tenant\n");
             return 1;
         }
     }
@@ -658,55 +512,34 @@ main(int argc, char** argv)
     note("transitions — the per-request transition figure must collapse");
     note("to <= 0.01 while every sealed response still verifies");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1024;
-        params.switchless = true;
-        ServeResult r = runServe(params);
+        serve::Scenario scenario = oversubscribed(tenants, requests, 1024);
+        scenario.switchless = true;
+        const serve::ScenarioResult r = runScenario(scenario);
         const double perReq = double(r.transitions) / double(r.submitted);
         std::printf("\n  tenants %llu, verified %llu/%llu, failures %llu\n",
-                    (unsigned long long)params.tenants,
+                    (unsigned long long)scenario.tenants,
                     (unsigned long long)r.verified,
                     (unsigned long long)r.submitted,
                     (unsigned long long)r.failures);
         std::printf("  channels %llu, ring calls %llu, ring polls %llu\n",
                     (unsigned long long)r.switchlessChannels,
                     (unsigned long long)r.ringCalls,
-                    (unsigned long long)r.ringPolls);
+                    (unsigned long long)r.counters.switchlessPolls);
         std::printf("  transitions/request %.4f (post-arming; EENTER %llu + "
                     "NEENTER %llu lifetime)\n",
-                    perReq, (unsigned long long)r.eenter,
-                    (unsigned long long)r.neenter);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
+                    perReq, (unsigned long long)r.counters.eenterCount,
+                    (unsigned long long)r.counters.neenterCount);
+        printLatency(r.latency);
         json.set("transitions_per_request_switchless", perReq);
         json.set("switchless_channels", double(r.switchlessChannels));
         json.set("switchless_ring_calls", double(r.ringCalls));
-        json.set("switchless_ring_polls", double(r.ringPolls));
+        json.set("switchless_ring_polls",
+                 double(r.counters.switchlessPolls));
         json.set("switchless_verified", double(r.verified));
         json.set("switchless_integrity_failures", double(r.failures));
         json.set("switchless_p50_cycles", double(r.latency.p50()));
         json.set("switchless_p99_cycles", double(r.latency.p99()));
-        if (r.failures > 0 || r.verified != r.submitted) {
-            std::fprintf(stderr,
-                         "FAIL: switchless run must verify every request "
-                         "(%llu/%llu, %llu failures)\n",
-                         (unsigned long long)r.verified,
-                         (unsigned long long)r.submitted,
-                         (unsigned long long)r.failures);
-            return 1;
-        }
-        if (perReq > 0.01) {
-            std::fprintf(stderr,
-                         "FAIL: switchless transitions/request %.4f exceeds "
-                         "0.01 — the exit-less path is leaking transitions\n",
-                         perReq);
-            return 1;
-        }
+        if (!exitless(r, "switchless")) return 1;
     }
 
     header("Serve bench 6/10: requests/sec vs real OS worker threads");
@@ -716,7 +549,6 @@ main(int argc, char** argv)
     note("measures the drain alone — every response still verifies");
     {
         const std::uint64_t scalingTenants = 24;
-        const std::uint64_t perTenant = flags.u64("scaling-per-tenant", 20);
         // Wall-clock scaling is bounded by the host, not the simulation:
         // record the real core count so CI can gate the speedup keys
         // only where the hardware can express a speedup at all.
@@ -730,7 +562,7 @@ main(int argc, char** argv)
         for (std::size_t threads : {std::size_t(1), std::size_t(2),
                                     std::size_t(4)}) {
             ScalingResult r =
-                runThreadScaling(threads, scalingTenants, perTenant);
+                runThreadScaling(threads, scalingTenants, scalingPerTenant);
             if (r.failures > 0 || r.verified != r.submitted) {
                 std::fprintf(stderr,
                              "FAIL: scaling run t=%zu must verify every "
@@ -763,69 +595,31 @@ main(int argc, char** argv)
     note("poller): a depth-3 chain must still pay zero steady-state");
     note("transitions per request while every sealed response verifies");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
         // Slightly above the flat pressure floor: the CVM root and the
         // per-hop poller TCS pools are unevictable, but the tenant
         // working set still far exceeds the EPC, so paging stays hot.
-        params.epcPages = 1280;
-        params.switchless = true;
-        params.cvm = true;
-        ServeResult r = runServe(params);
+        serve::Scenario scenario = oversubscribed(tenants, requests, 1280);
+        scenario.switchless = true;
+        scenario.cvm = true;
+        const serve::ScenarioResult r = runScenario(scenario);
         const double perReq = double(r.transitions) / double(r.submitted);
-        std::printf("\n  tenants %llu at depth 3, verified %llu/%llu, "
-                    "failures %llu\n",
-                    (unsigned long long)params.tenants,
-                    (unsigned long long)r.verified,
-                    (unsigned long long)r.submitted,
-                    (unsigned long long)r.failures);
-        std::printf("  tenant evictions %llu, reloads %llu\n",
-                    (unsigned long long)r.evictions,
-                    (unsigned long long)r.reloads);
+        if (!paged(r, scenario.tenants)) return 1;
         std::printf("  channels %llu, ring calls %llu, ring polls %llu\n",
                     (unsigned long long)r.switchlessChannels,
                     (unsigned long long)r.ringCalls,
-                    (unsigned long long)r.ringPolls);
+                    (unsigned long long)r.counters.switchlessPolls);
         std::printf("  transitions/request %.4f (post-arming)\n", perReq);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
+        printLatency(r.latency);
         json.set("cvm_verified", double(r.verified));
         json.set("cvm_submitted", double(r.submitted));
         json.set("cvm_integrity_failures", double(r.failures));
-        json.set("cvm_evictions", double(r.evictions));
-        json.set("cvm_reloads", double(r.reloads));
+        json.set("cvm_evictions", double(r.counters.serveTenantEvictions));
+        json.set("cvm_reloads", double(r.counters.serveTenantReloads));
         json.set("cvm_channels", double(r.switchlessChannels));
         json.set("cvm_transitions_per_request", perReq);
         json.set("cvm_p50_cycles", double(r.latency.p50()));
         json.set("cvm_p99_cycles", double(r.latency.p99()));
-        if (r.failures > 0 || r.verified != r.submitted) {
-            std::fprintf(stderr,
-                         "FAIL: cvm run must verify every request "
-                         "(%llu/%llu, %llu failures)\n",
-                         (unsigned long long)r.verified,
-                         (unsigned long long)r.submitted,
-                         (unsigned long long)r.failures);
-            return 1;
-        }
-        if (perReq > 0.01) {
-            std::fprintf(stderr,
-                         "FAIL: cvm transitions/request %.4f exceeds 0.01 — "
-                         "the depth-3 exit-less path is leaking "
-                         "transitions\n",
-                         perReq);
-            return 1;
-        }
-        if (r.evictions < 10) {
-            std::fprintf(stderr,
-                         "FAIL: cvm run expected >= 10 evictions, got "
-                         "%llu\n",
-                         (unsigned long long)r.evictions);
-            return 1;
-        }
+        if (!exitless(r, "cvm")) return 1;
     }
 
     header("Serve bench 8/10: live migration — two hosts, one sealed session");
@@ -840,42 +634,13 @@ main(int argc, char** argv)
         const std::uint64_t perTenant = 20;
         const std::uint64_t total = migrateTenants * perTenant;  // 480
 
-        auto mkConfig = [&](std::uint64_t seed) {
-            auto config = defaultConfig();
-            config.rngSeed = seed;  // distinct sealing-key root per host
-            config.prmBytes = (1024 + 64) * hw::kPageSize;
-            return config;
-        };
-        BenchWorld hostA(mkConfig(42));
-        BenchWorld hostB(mkConfig(99));
+        TwoHostFleet hosts;
+        hosts.onboard(migrateTenants);
+        migrate::Fleet& fleet = hosts.fleet;
+        migrate::MigrationEngine& engine = hosts.engine;
+        const auto& clients = hosts.clients;
 
-        serve::TenantService::Config sc;
-        sc.pool.batchSize = 8;
-        sc.attestOnboarding = true;
-        serve::TenantService serviceA(*hostA.urts, sc);
-        serve::TenantService serviceB(*hostB.urts, sc);
-
-        migrate::Fleet fleet;
-        fleet.addHost(serviceA);
-        fleet.addHost(serviceB);
-        migrate::MigrationEngine engine;
-
-        const std::vector<serve::Workload> mix = {serve::Workload::Echo,
-                                                  serve::Workload::Sql,
-                                                  serve::Workload::Svm};
-        std::vector<std::unique_ptr<serve::TenantClient>> clients;
-        for (std::uint64_t t = 0; t < migrateTenants; ++t) {
-            auto workload = mix[t % mix.size()];
-            fleet.addTenant(serve::TenantId(t), workload, 0)
-                .orThrow("tenant");
-            const Bytes key =
-                fleet.hostOf(serve::TenantId(t))
-                    ->sessionKeyFor(serve::TenantId(t));
-            clients.push_back(std::make_unique<serve::TenantClient>(
-                serve::TenantId(t), workload, key));
-        }
-
-        ServeResult r;
+        serve::ScenarioResult r;  // request counters and latency only
         std::vector<std::uint64_t> moves(migrateTenants, 0);
         auto drainFleet = [&]() {
             for (serve::Completion& done : fleet.drainAll()) {
@@ -988,34 +753,20 @@ main(int argc, char** argv)
     note("must carry the sealed session, and every request must end");
     note("verified or with a typed error — never a silent empty");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1280;
-        params.cvm = true;
-        params.faultSpec =
-            "ewb-corrupt@n=3; ewb-drop-slot@n=9; eldu-fail@n=15;"
-            "eenter-fail@every=40; neenter-fail@every=45;"
-            "epc-alloc-fail@every=150; aex-storm@every=100;"
-            "migrate-export-fail@n=2; migrate-import-fail@n=2";
-        params.faultSeed = flags.u64("fault-seed", 7);
-        params.migrateEvery = 20;
-        ServeResult r = runServe(params);
-        std::printf("\n  faults injected %llu at %llu sites; verified %llu, "
-                    "typed errors %llu, silent empties %llu\n",
-                    (unsigned long long)r.faultsInjected,
-                    (unsigned long long)r.faultSites,
-                    (unsigned long long)r.verified,
-                    (unsigned long long)r.typedErrors,
-                    (unsigned long long)r.silentEmpties);
+        serve::Scenario scenario = oversubscribed(tenants, requests, 1280);
+        scenario.cvm = true;
+        scenario.chaos = true;  // the chaos plan gains the migrate sites
+        scenario.faultSeed = faultSeed;
+        scenario.migrateEvery = 20;
+        const serve::ScenarioResult r = runScenario(scenario);
+        printFaults(r);
         std::printf("  migrations committed %llu, aborted %llu; rebuilds "
                     "%llu, recovered %llu/%llu\n",
-                    (unsigned long long)r.migrations,
-                    (unsigned long long)r.migrateAborted,
+                    (unsigned long long)r.migration.gatewayMoves,
+                    (unsigned long long)r.migration.aborted,
                     (unsigned long long)r.rebuilds,
                     (unsigned long long)r.recovered,
-                    (unsigned long long)params.tenants);
+                    (unsigned long long)scenario.tenants);
         json.set("cvm_chaos_submitted", double(r.submitted));
         json.set("cvm_chaos_verified", double(r.verified));
         json.set("cvm_chaos_faults_injected", double(r.faultsInjected));
@@ -1024,26 +775,13 @@ main(int argc, char** argv)
         json.set("cvm_chaos_recovered", double(r.recovered));
         json.set("cvm_chaos_typed_errors", double(r.typedErrors));
         json.set("cvm_chaos_silent_empties", double(r.silentEmpties));
-        json.set("cvm_chaos_migrations", double(r.migrations));
-        json.set("cvm_chaos_migrate_aborted", double(r.migrateAborted));
-        if (r.failures > 0 || r.silentEmpties > 0) {
-            std::fprintf(stderr,
-                         "FAIL: cvm chaos run: %llu integrity failures, "
-                         "%llu silent empties\n",
-                         (unsigned long long)r.failures,
-                         (unsigned long long)r.silentEmpties);
-            return 1;
-        }
-        if (r.faultsInjected == 0 || r.migrations == 0 ||
-            r.recovered < params.tenants) {
-            std::fprintf(stderr,
-                         "FAIL: cvm chaos run must inject (got %llu), "
-                         "migrate (got %llu) and recover every tenant "
-                         "(got %llu/%llu)\n",
-                         (unsigned long long)r.faultsInjected,
-                         (unsigned long long)r.migrations,
-                         (unsigned long long)r.recovered,
-                         (unsigned long long)params.tenants);
+        json.set("cvm_chaos_migrations",
+                 double(r.migration.gatewayMoves));
+        json.set("cvm_chaos_migrate_aborted",
+                 double(r.migration.aborted));
+        if (!selfHealed(r, scenario, "cvm chaos")) return 1;
+        if (r.migration.gatewayMoves == 0) {
+            std::fprintf(stderr, "FAIL: cvm chaos run migrated no tenant\n");
             return 1;
         }
     }
@@ -1062,52 +800,24 @@ main(int argc, char** argv)
         const std::uint64_t perTenant = 20;
         const std::uint64_t total = nTenants * perTenant;  // 480
 
-        auto mkConfig = [&](std::uint64_t seed) {
-            auto config = defaultConfig();
-            config.rngSeed = seed;  // distinct sealing-key root per host
-            config.prmBytes = (1024 + 64) * hw::kPageSize;
-            return config;
-        };
-        BenchWorld hostA(mkConfig(42));
-        BenchWorld hostB(mkConfig(99));
-
-        serve::TenantService::Config sc;
-        sc.pool.batchSize = 8;
-        sc.attestOnboarding = true;
-        serve::TenantService serviceA(*hostA.urts, sc);
-        serve::TenantService serviceB(*hostB.urts, sc);
-
-        migrate::Fleet fleet;
-        fleet.addHost(serviceA);
-        fleet.addHost(serviceB);
-        migrate::MigrationEngine engine;
-
+        TwoHostFleet hosts;
+        migrate::Fleet& fleet = hosts.fleet;
         supervise::Config supCfg;
         supCfg.wedgeTicks = 1;
         supCfg.rungPatience = 1;
-        supervise::Supervisor supA(serviceA, supCfg);
-        supA.attachFleet(fleet, engine, 0);
-        supervise::Supervisor supB(serviceB, supCfg);
-        supB.attachFleet(fleet, engine, 1);
+        supervise::Supervisor supA(hosts.serviceA, supCfg);
+        supA.attachFleet(fleet, hosts.engine, 0);
+        supervise::Supervisor supB(hosts.serviceB, supCfg);
+        supB.attachFleet(fleet, hosts.engine, 1);
 
-        const std::vector<serve::Workload> mix = {serve::Workload::Echo,
-                                                  serve::Workload::Sql,
-                                                  serve::Workload::Svm};
-        std::vector<std::unique_ptr<serve::TenantClient>> clients;
-        std::vector<std::uint64_t> verifiedPer(nTenants, 0);
-        std::vector<std::uint64_t> owed(nTenants, 0);  // failed, resubmit
+        hosts.onboard(nTenants);
+        const auto& clients = hosts.clients;
         for (std::uint64_t t = 0; t < nTenants; ++t) {
-            auto workload = mix[t % mix.size()];
-            fleet.addTenant(serve::TenantId(t), workload, 0)
-                .orThrow("tenant");
-            const Bytes key =
-                fleet.hostOf(serve::TenantId(t))
-                    ->sessionKeyFor(serve::TenantId(t));
-            clients.push_back(std::make_unique<serve::TenantClient>(
-                serve::TenantId(t), workload, key));
             const auto p = fleet.placement(serve::TenantId(t));
             clients[t]->onPlacement(p.epoch, p.incarnation);
         }
+        std::vector<std::uint64_t> verifiedPer(nTenants, 0);
+        std::vector<std::uint64_t> owed(nTenants, 0);  // failed, resubmit
 
         std::uint64_t submitted = 0;
         std::uint64_t verified = 0;
@@ -1201,11 +911,11 @@ main(int argc, char** argv)
         std::uint64_t bClockAtDegrade = 0;
         for (std::uint64_t round = 0; round < perTenant; ++round) {
             if (round == 6) {
-                hostA.machine.setFaultInjector(&crashInjector);
+                hosts.hostA.machine.setFaultInjector(&crashInjector);
             }
             if (round == 12) {
-                hostA.machine.setFaultInjector(&degradeInjector);
-                bClockAtDegrade = hostB.machine.clock().cycles();
+                hosts.hostA.machine.setFaultInjector(&degradeInjector);
+                bClockAtDegrade = hosts.hostB.machine.clock().cycles();
             }
             for (std::uint64_t t = 0; t < nTenants; ++t) {
                 if (!submitFenced(serve::TenantId(t))) {
@@ -1222,7 +932,7 @@ main(int argc, char** argv)
         fleet.pumpAll();
         drainFleet();
         const std::uint64_t recoveryCycles =
-            hostB.machine.clock().cycles() - bClockAtDegrade;
+            hosts.hostB.machine.clock().cycles() - bClockAtDegrade;
 
         std::uint64_t failures = 0;
         for (const auto& client : clients) {
@@ -1329,6 +1039,6 @@ main(int argc, char** argv)
         }
     }
 
-    json.writeIfRequested(flags);
+    json.write();
     return 0;
 }

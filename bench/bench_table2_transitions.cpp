@@ -149,6 +149,8 @@ main(int argc, char** argv)
     // Paper uses 1 M calls; the default here is 20 k (identical means on
     // a deterministic clock), overridable with --iterations.
     std::uint64_t iterations = flags.u64("iterations", 20000);
+    JsonReport json(flags);
+    flags.finish();
 
     header("Table II: average latency of enclave transition calls");
     note("paper: HW 3.45/3.13 us, emulated SGX 1.25/1.14 us, "
@@ -188,7 +190,6 @@ main(int argc, char** argv)
                 "Emulated nested (n_ecall/n_ocall), tagged TLB",
                 nestedTag.ecallUs, nestedTag.ocallUs);
 
-    JsonReport json;
     json.set("iterations", double(iterations));
     json.set("hw_ecall_us", hw.ecallUs);
     json.set("hw_ocall_us", hw.ocallUs);
@@ -200,6 +201,6 @@ main(int argc, char** argv)
     json.set("tagged_emulated_ocall_us", emuTag.ocallUs);
     json.set("tagged_nested_necall_us", nestedTag.ecallUs);
     json.set("tagged_nested_nocall_us", nestedTag.ocallUs);
-    json.writeIfRequested(flags);
+    json.write();
     return 0;
 }

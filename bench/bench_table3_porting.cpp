@@ -96,9 +96,10 @@ struct PortRow {
 }  // namespace nesgx::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace nesgx::bench;
+    Flags(argc, argv).finish();  // takes no flags
 
     header("Table III: lines of code modified for porting applications to "
            "nested enclave");

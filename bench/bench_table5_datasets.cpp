@@ -12,6 +12,7 @@ main(int argc, char** argv)
     using namespace nesgx::bench;
     Flags flags(argc, argv);
     double scale = flags.f64("scale", 0.01);
+    flags.finish();
 
     header("Table V: datasets used for evaluating LibSVM");
     note("'-' testing size means only training data exists (training set "

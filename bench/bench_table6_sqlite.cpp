@@ -46,6 +46,7 @@ main(int argc, char** argv)
     Flags flags(argc, argv);
     std::uint64_t queries = flags.u64("queries", 2000);
     std::uint64_t records = flags.u64("records", 1000);
+    flags.finish();
 
     header("Table VI: SQLite throughput with YCSB "
            "(uniform random request distribution)");

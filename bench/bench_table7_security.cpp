@@ -134,9 +134,10 @@ printRow(const std::string& attack, const std::string& baseline,
 }  // namespace nesgx::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace nesgx::bench;
+    Flags(argc, argv).finish();  // takes no flags
 
     header("Table VII: attack scenarios from the case studies "
            "(attacks are actually executed)");

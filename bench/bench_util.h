@@ -1,17 +1,16 @@
 /**
- * Shared helpers for the table/figure reproduction binaries: flag
- * parsing, table printing, and world construction. Every binary prints
- * (a) the paper's reported values where applicable and (b) the values
- * this reproduction measures on its simulated clock, so EXPERIMENTS.md
- * can be regenerated by running every binary under build/bench/.
+ * Shared helpers for the table/figure reproduction binaries: JSON
+ * reports, table printing, and world construction (flags come from
+ * support/flags.h). Every binary prints (a) the paper's reported values
+ * where applicable and (b) the values this reproduction measures on its
+ * simulated clock, so EXPERIMENTS.md can be regenerated by running every
+ * binary under build/bench/.
  */
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "sdk/runtime.h"
 #include "serve/histogram.h"
 #include "sgx/machine.h"
+#include "support/flags.h"
 
 namespace nesgx::bench {
 
@@ -28,101 +28,33 @@ namespace nesgx::bench {
  *  exact-sample histogram (nearest-rank p50/p95/p99). */
 using serve::Histogram;
 
-/** Tiny flag parser: --name value. A trailing flag with no value is a
- *  usage error (exit 2), not a silent drop. */
-class Flags {
-  public:
-    Flags(int argc, char** argv)
-    {
-        for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--", 2) != 0) continue;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: flag %s expects a value\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            const std::string name = argv[i] + 2;
-            values_[name] = argv[++i];
-        }
-    }
-
-    /** Strict numeric parse: the whole value must be a non-negative
-     *  number. `--threads 4x` (trailing garbage), `--threads -1`
-     *  (would wrap to 2^64-1 through stoull) and `--threads abc`
-     *  (uncaught std::invalid_argument abort) are all usage errors. */
-    std::uint64_t u64(const std::string& name, std::uint64_t fallback) const
-    {
-        auto it = values_.find(name);
-        if (it == values_.end()) return fallback;
-        const std::string& text = it->second;
-        std::size_t consumed = 0;
-        std::uint64_t parsed = 0;
-        try {
-            parsed = std::stoull(text, &consumed);
-        } catch (const std::exception&) {
-            badValue(name, text);
-        }
-        if (consumed != text.size() || text.find('-') != std::string::npos) {
-            badValue(name, text);
-        }
-        return parsed;
-    }
-
-    double f64(const std::string& name, double fallback) const
-    {
-        auto it = values_.find(name);
-        if (it == values_.end()) return fallback;
-        const std::string& text = it->second;
-        std::size_t consumed = 0;
-        double parsed = 0.0;
-        try {
-            parsed = std::stod(text, &consumed);
-        } catch (const std::exception&) {
-            badValue(name, text);
-        }
-        if (consumed != text.size() || parsed < 0.0) badValue(name, text);
-        return parsed;
-    }
-
-    std::string str(const std::string& name, const std::string& fallback) const
-    {
-        auto it = values_.find(name);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-  private:
-    [[noreturn]] static void badValue(const std::string& name,
-                                      const std::string& text)
-    {
-        std::fprintf(stderr,
-                     "error: flag --%s expects a non-negative number, "
-                     "got \"%s\"\n",
-                     name.c_str(), text.c_str());
-        std::exit(2);
-    }
-
-    std::map<std::string, std::string> values_;
-};
+/** Every bench parses its flags with the shared strict parser. */
+using nesgx::Flags;
 
 /**
  * Flat JSON object of a bench's measured values, dumped to the path
  * given by `--json <path>` (no-op when the flag is absent) so
- * trajectory files can be produced mechanically from any run.
+ * trajectory files can be produced mechanically from any run. Built
+ * from the bench's Flags before Flags::finish, so `--json` counts as
+ * read.
  */
 class JsonReport {
   public:
+    explicit JsonReport(const Flags& flags) : path_(flags.str("json", ""))
+    {
+    }
+
     void set(const std::string& key, double value)
     {
         values_.emplace_back(key, value);
     }
 
-    void writeIfRequested(const Flags& flags) const
+    void write() const
     {
-        const std::string path = flags.str("json", "");
-        if (path.empty()) return;
-        std::FILE* f = std::fopen(path.c_str(), "w");
+        if (path_.empty()) return;
+        std::FILE* f = std::fopen(path_.c_str(), "w");
         if (!f) {
-            std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+            std::fprintf(stderr, "error: cannot write %s\n", path_.c_str());
             std::exit(2);
         }
         std::fprintf(f, "{\n");
@@ -144,10 +76,11 @@ class JsonReport {
         }
         std::fprintf(f, "}\n");
         std::fclose(f);
-        std::printf("  [json written to %s]\n", path.c_str());
+        std::printf("  [json written to %s]\n", path_.c_str());
     }
 
   private:
+    std::string path_;
     std::vector<std::pair<std::string, double>> values_;
 };
 

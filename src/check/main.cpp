@@ -10,112 +10,44 @@
  */
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "check/sequence.h"
+#include "support/flags.h"
 
 namespace {
 
-struct CliOptions {
-    std::uint64_t firstSeed = 1;
-    int seeds = 16;
-    int steps = 300;
-    bool runTagged = true;
-    bool runFlush = true;
-    bool helpOnly = false;
-    bool dumpTrace = false;
-    bool switchlessOps = false;
-    bool depthOps = false;
-    std::string reproOut;
-};
+const char* kUsage =
+    "usage: nesgx_check [--seeds N] [--steps M] [--seed S]\n"
+    "                   [--tagged on|off|both] [--repro-out F]\n"
+    "                   [--trace] [--switchless-ops]\n"
+    "                   [--depth-ops]\n"
+    "  --trace  append the ring-buffer event log to each\n"
+    "           shrunk reproducer report\n"
+    "  --switchless-ops  widen the op set with the switchless\n"
+    "           DescRing post/drain cycle (off by default so\n"
+    "           historical seeded streams stay identical)\n"
+    "  --depth-ops  widen to the full op set including the\n"
+    "           DeepChain composite (depth-3/4 nest build +\n"
+    "           hostile hop + AEX in one step); exercises the\n"
+    "           SavedChainValidity rule past anything the\n"
+    "           serving topology nests\n";
 
-bool
-parseArgs(int argc, char** argv, CliOptions* opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto needValue = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--seeds") {
-            const char* v = needValue("--seeds");
-            if (!v) return false;
-            opts->seeds = std::atoi(v);
-        } else if (arg == "--steps") {
-            const char* v = needValue("--steps");
-            if (!v) return false;
-            opts->steps = std::atoi(v);
-        } else if (arg == "--seed") {
-            const char* v = needValue("--seed");
-            if (!v) return false;
-            opts->firstSeed = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--tagged") {
-            const char* v = needValue("--tagged");
-            if (!v) return false;
-            if (std::strcmp(v, "on") == 0) {
-                opts->runTagged = true;
-                opts->runFlush = false;
-            } else if (std::strcmp(v, "off") == 0) {
-                opts->runTagged = false;
-                opts->runFlush = true;
-            } else if (std::strcmp(v, "both") == 0) {
-                opts->runTagged = true;
-                opts->runFlush = true;
-            } else {
-                std::fprintf(stderr, "--tagged takes on|off|both\n");
-                return false;
-            }
-        } else if (arg == "--trace") {
-            opts->dumpTrace = true;
-        } else if (arg == "--switchless-ops") {
-            opts->switchlessOps = true;
-        } else if (arg == "--depth-ops") {
-            opts->depthOps = true;
-        } else if (arg == "--repro-out") {
-            const char* v = needValue("--repro-out");
-            if (!v) return false;
-            opts->reproOut = v;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: nesgx_check [--seeds N] [--steps M] [--seed S]\n"
-                "                   [--tagged on|off|both] [--repro-out F]\n"
-                "                   [--trace] [--switchless-ops]\n"
-                "                   [--depth-ops]\n"
-                "  --trace  append the ring-buffer event log to each\n"
-                "           shrunk reproducer report\n"
-                "  --switchless-ops  widen the op set with the switchless\n"
-                "           DescRing post/drain cycle (off by default so\n"
-                "           historical seeded streams stay identical)\n"
-                "  --depth-ops  widen to the full op set including the\n"
-                "           DeepChain composite (depth-3/4 nest build +\n"
-                "           hostile hop + AEX in one step); exercises the\n"
-                "           SavedChainValidity rule past anything the\n"
-                "           serving topology nests\n");
-            opts->helpOnly = true;
-            return true;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-            return false;
-        }
-    }
-    return opts->seeds > 0 && opts->steps > 0;
-}
+/** Seeds and steps are ints downstream (RunConfig::steps). */
+constexpr std::uint64_t kMaxCount = std::numeric_limits<int>::max();
 
 int
-reportFailure(const nesgx::check::RunFailure& raw, const CliOptions& opts)
+reportFailure(const nesgx::check::RunFailure& raw, bool dumpTrace,
+              const std::string& reproOut)
 {
     std::printf("violation found (seed=%llu, %zu steps); shrinking...\n",
                 static_cast<unsigned long long>(raw.seed), raw.steps.size());
     nesgx::check::RunFailure shrunk = nesgx::check::shrinkFailure(raw);
     std::string report = nesgx::check::formatFailure(shrunk);
-    if (opts.dumpTrace) {
+    if (dumpTrace) {
         report += "event log (" + std::to_string(shrunk.traceLog.size()) +
                   " events, oldest first):\n";
         for (const std::string& line : shrunk.traceLog) {
@@ -123,10 +55,10 @@ reportFailure(const nesgx::check::RunFailure& raw, const CliOptions& opts)
         }
     }
     std::printf("%s", report.c_str());
-    if (!opts.reproOut.empty()) {
-        std::ofstream out(opts.reproOut);
+    if (!reproOut.empty()) {
+        std::ofstream out(reproOut);
         out << report;
-        std::printf("reproducer written to %s\n", opts.reproOut.c_str());
+        std::printf("reproducer written to %s\n", reproOut.c_str());
     }
     return 1;
 }
@@ -136,29 +68,49 @@ reportFailure(const nesgx::check::RunFailure& raw, const CliOptions& opts)
 int
 main(int argc, char** argv)
 {
-    CliOptions opts;
-    if (!parseArgs(argc, argv, &opts)) return 2;
-    if (opts.helpOnly) return 0;
+    nesgx::Flags flags(argc, argv,
+                       {"help", "trace", "switchless-ops", "depth-ops"});
+    if (flags.has("help")) {
+        std::printf("%s", kUsage);
+        return 0;
+    }
+    nesgx::check::RunConfig config;
+    const std::uint64_t seeds = flags.u64("seeds", 16);
+    const std::uint64_t steps = flags.u64("steps", config.steps);
+    const std::uint64_t firstSeed = flags.u64("seed", 1);
+    const std::string taggedMode = flags.str("tagged", "both");
+    const bool dumpTrace = flags.has("trace");
+    config.switchlessOps = flags.has("switchless-ops");
+    config.depthOps = flags.has("depth-ops");
+    const std::string reproOut = flags.str("repro-out", "");
+    flags.finish();
+
+    if (seeds == 0 || seeds > kMaxCount || steps == 0 || steps > kMaxCount) {
+        std::fprintf(stderr, "error: --seeds and --steps must be in 1..%llu\n",
+                     (unsigned long long)kMaxCount);
+        return 2;
+    }
+    config.steps = int(steps);
+    if (taggedMode != "on" && taggedMode != "off" && taggedMode != "both") {
+        std::fprintf(stderr, "error: --tagged takes on|off|both\n");
+        return 2;
+    }
 
     std::vector<bool> modes;
-    if (opts.runTagged) modes.push_back(true);
-    if (opts.runFlush) modes.push_back(false);
+    if (taggedMode != "off") modes.push_back(true);
+    if (taggedMode != "on") modes.push_back(false);
 
     for (bool tagged : modes) {
         std::printf("mode taggedTlb=%s: %d seeds x %d steps\n",
-                    tagged ? "on" : "off", opts.seeds, opts.steps);
-        for (int i = 0; i < opts.seeds; ++i) {
-            nesgx::check::RunConfig config;
-            config.seed = opts.firstSeed + std::uint64_t(i);
-            config.steps = opts.steps;
+                    tagged ? "on" : "off", int(seeds), config.steps);
+        for (std::uint64_t i = 0; i < seeds; ++i) {
+            config.seed = firstSeed + i;
             config.taggedTlb = tagged;
-            config.switchlessOps = opts.switchlessOps;
-            config.depthOps = opts.depthOps;
             auto failure = nesgx::check::runSeed(config);
-            if (failure) return reportFailure(*failure, opts);
+            if (failure) return reportFailure(*failure, dumpTrace, reproOut);
         }
     }
     std::printf("all invariants held: %d seeds x %d steps x %zu mode(s)\n",
-                opts.seeds, opts.steps, modes.size());
+                int(seeds), config.steps, modes.size());
     return 0;
 }

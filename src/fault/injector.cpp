@@ -1,9 +1,10 @@
 #include "fault/injector.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
+
+#include "support/suggest.h"
 
 namespace nesgx::fault {
 
@@ -98,45 +99,6 @@ trimmed(std::string_view s)
     return s;
 }
 
-/** Levenshtein distance, for the "did you mean" suggestion below. */
-std::size_t
-editDistance(std::string_view a, std::string_view b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t subst = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            diag = row[j];
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, subst});
-        }
-    }
-    return row[b.size()];
-}
-
-/** Closest known site name to a typo'd one, or "" if nothing is close. */
-std::string
-closestSiteName(std::string_view name)
-{
-    std::size_t best = std::size_t(-1);
-    const char* bestName = nullptr;
-    for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-        const char* candidate = siteName(FaultSite(i));
-        const std::size_t d = editDistance(name, candidate);
-        if (d < best) {
-            best = d;
-            bestName = candidate;
-        }
-    }
-    // A suggestion further than half the typo's length away is noise.
-    if (bestName != nullptr && best <= std::max<std::size_t>(2, name.size() / 2)) {
-        return bestName;
-    }
-    return {};
-}
-
 void
 setError(std::string* error, const std::string& message)
 {
@@ -167,8 +129,12 @@ FaultPlan::parse(const std::string& spec, std::string* error)
         FaultSite site;
         const std::string name(trimmed(clause.substr(0, at)));
         if (!siteFromName(name, site)) {
+            std::vector<std::string_view> sites;
+            for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
+                sites.push_back(siteName(FaultSite(i)));
+            }
             std::string message = "unknown fault site '" + name + "'";
-            const std::string suggestion = closestSiteName(name);
+            const std::string suggestion = closestName(name, sites);
             if (!suggestion.empty()) {
                 message += " — did you mean '" + suggestion + "'?";
             }

@@ -3,121 +3,36 @@
  * machine. Spins up N tenants (one inner enclave each, pooled into
  * shared gateway outers), pushes a closed-loop request stream through
  * the admission controller and worker pool, and verifies every sealed
- * response client-side.
+ * response client-side. The flags are listed in kUsage (--help).
  *
- *   nesgx_serve --tenants 8 --requests 200 [--batch 8] [--epc-pages 0]
- *               [--deadline 0] [--queue-depth 64] [--threads 1]
- *               [--topology flat|cvm] [--chrome-trace p.json]
- *               [--faults SPEC] [--fault-seed N] [--chaos SEED]
- *               [--attest 1] [--attest-expect-depth N] [--migrate K]
- *               [--supervise 1] [--help]
+ * The run itself is a serve::Scenario (scenario.h; what each flag drives
+ * is in DESIGN §10-16), shared with bench_serve: this binary maps flags
+ * onto it, prints the result, and applies the gates below. --chaos SEED
+ * defaults to a 24-tenant 4x-oversubscribed run with the default fault
+ * plan (seeded by SEED) and a fault-free recovery phase.
  *
- * Exit codes are part of the CI contract: 0 = success, 1 = integrity /
- * attestation / self-healing failure (a refused onboarding, a sealed
- * response that failed verification, a chaos gate missed), 2 = flag
- * error (unknown topology, malformed --faults spec — the parse
- * diagnostic, including its "did you mean" suggestion, goes to stderr).
- *
- * --supervise 1 attaches the failure-domain supervisor (src/supervise):
- * a health watchdog ticks after every pump, classifies wedged tenants
- * from heartbeat counters and climbs the escalation ladder (kick ->
- * tenant rebuild -> gateway-subtree rebuild -> evacuate). Under --chaos
- * the fault plan gains the gateway-crash and poller-wedge sites — a
- * crashed gateway can ONLY heal through the supervisor's subtree rung,
- * so the chaos gates require the watchdog to have fired.
- *
- * --attest 1 (the default) onboards every tenant through the NEREPORT
- * trust path: the tenant is admitted only after its evidence chain
- * verifies, and clients seal with the EGETKEY-rooted session key from
- * the attested exchange instead of an out-of-band secret. A tenant that
- * fails attestation (e.g. a policy/topology mismatch forced with
- * --attest-expect-depth) makes the run exit nonzero. --attest 0 reverts
- * to legacy faith-based admission.
- *
- * --migrate K live-migrates one tenant (round-robin) to a different
- * gateway after every K submissions — sealed snapshot export, EWB
- * drain, staged rebuild, re-attestation, import — while the request
- * stream keeps flowing; sessions must survive with sequence continuity.
- * Under --chaos the default fault plan gains the migrate-export/import
- * sites, so some moves abort mid-storm and must roll back cleanly.
- *
- * --topology cvm nests the whole fleet one level deeper: a single
- * depth-1 "CVM" root enclave hosts every gateway as a depth-2 inner and
- * tenants serve at depth 3 (paper §VIII). A dispatch is then one EENTER
- * plus two NEENTERs down the validated ancestor chain. The default flat
- * layout is byte-identical to the historical two-level registry.
- *
- * --threads N drains the queues with N real OS worker threads, each
- * pinning one simulated core (see WorkerPool::runParallel). N=1 is the
- * historical serial pump — byte-identical traces and counters.
- *
- * --faults arms the deterministic fault injector (src/fault) with a
- * site@trigger spec, e.g. "ewb-corrupt@n=3;eenter-fail@every=40".
- *
- * --chaos SEED is the self-healing acceptance mode: a 24-tenant
- * 4x-oversubscribed run with a default multi-site fault plan armed
- * after setup, followed by a fault-free recovery phase. It exits
- * nonzero unless faults actually fired at >= 5 distinct sites, at
- * least one tenant was rebuilt, every request either verified or
- * carried a typed error (zero silent empties), and every tenant
- * serves verified responses again once the faults stop.
- *
- * Exits nonzero on any integrity failure, making it usable as a CI
- * smoke test.
+ * Exit codes are part of the CI contract:
+ *  0  every sealed response verified and all gates passed;
+ *  1  integrity / attestation / self-healing failure: a refused
+ *     onboarding (e.g. a depth forced with --attest-expect-depth), a
+ *     response that failed verification or failed without a typed
+ *     error, a tenant that never recovered once faults stopped, a chaos
+ *     run that fired fewer than 5 distinct fault sites or rebuilt no
+ *     tenant, supervised chaos whose watchdog never acted, or --migrate
+ *     with no committed move;
+ *  2  flag error: an unknown flag or stray argument, a malformed number,
+ *     an unknown topology, a malformed --faults spec, or a scenario
+ *     Scenario::validate refuses. The diagnostic, with a "did you mean"
+ *     for typo'd flag and fault-site names, goes to stderr.
  */
 #include <cstdio>
-#include <memory>
-#include <set>
-#include <vector>
 
-#include <cstring>
-
-#include "fault/injector.h"
-#include "migrate/engine.h"
-#include "serve/client.h"
-#include "serve/service.h"
-#include "supervise/supervisor.h"
-#include "trace/chrome_sink.h"
+#include "serve/scenario.h"
+#include "support/flags.h"
 
 namespace {
 
 using namespace nesgx;
-
-/** Minimal flag parser (mirrors bench_util, which the src tree cannot
- *  include from here without inverting the layering). */
-std::uint64_t
-flagU64(int argc, char** argv, const char* name, std::uint64_t fallback)
-{
-    const std::string want = std::string("--") + name;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (want == argv[i]) return std::stoull(argv[i + 1]);
-    }
-    return fallback;
-}
-
-std::string
-flagStr(int argc, char** argv, const char* name, const std::string& fallback)
-{
-    const std::string want = std::string("--") + name;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (want == argv[i]) return argv[i + 1];
-    }
-    return fallback;
-}
-
-/** The --chaos default plan: storage corruption (forces PagingIntegrity
- *  recoveries), periodic leaf and allocator refusals, and an interrupt
- *  storm — seven sites so the ">= 5 distinct kinds" gate has slack. */
-const char* kChaosPlan =
-    "ewb-corrupt@n=3; ewb-drop-slot@n=9; eldu-fail@n=15;"
-    "eenter-fail@every=40; neenter-fail@every=45;"
-    "epc-alloc-fail@every=150; aex-storm@every=100;"
-    // The ring-stall site only has occurrences on the switchless path
-    // (--switchless 1): a classic chaos run records zero and the
-    // distinct-site gate still has seven live sites of slack.
-    " ring-stall@every=30";
-
-constexpr std::uint64_t kNoChaos = std::uint64_t(-1);
 
 const char* kUsage =
     "usage: nesgx_serve [--tenants N] [--requests N] [--batch N]\n"
@@ -140,416 +55,110 @@ const char* kUsage =
     "  1  integrity/attestation/self-healing failure\n"
     "  2  flag error (unknown topology, malformed --faults spec)\n";
 
+/** One "  label<padding>: value" line of the run report. */
+void
+row(const char* label, std::uint64_t value)
+{
+    std::printf("  %-20s: %llu\n", label, (unsigned long long)value);
+}
+
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            std::printf("%s", kUsage);
-            return 0;
-        }
+    Flags flags(argc, argv, {"help"});
+    if (flags.has("help")) {
+        std::printf("%s", kUsage);
+        return 0;
     }
 
-    const std::uint64_t chaosSeed =
-        flagU64(argc, argv, "chaos", kNoChaos);
-    const bool chaos = chaosSeed != kNoChaos;
+    serve::Scenario s;
+    s.chaos = flags.has("chaos");
+    const std::uint64_t chaosSeed = flags.u64("chaos", 0);
+    const std::string topology = flags.str("topology", "flat");
+    s.cvm = topology == "cvm";
+    s.tenants = flags.u64("tenants", s.chaos ? 24 : s.tenants);
+    s.requests = flags.u64("requests", s.chaos ? 960 : s.requests);
+    s.batch = flags.u64("batch", s.batch);
+    // The cvm tree's root + per-gateway TCS pools are unevictable, so
+    // its pressure runs need a slightly larger (still heavily
+    // oversubscribed) EPC floor.
+    s.epcPages =
+        flags.u64("epc-pages", s.chaos ? (s.cvm ? 1280 : 1024) : s.epcPages);
+    s.deadline = flags.u64("deadline", s.deadline);
+    s.queueDepth = flags.u64("queue-depth", s.queueDepth);
+    s.switchless = flags.toggle("switchless", s.switchless);
+    s.threads = flags.u64("threads", s.threads);
+    s.chromeTrace = flags.str("chrome-trace", s.chromeTrace);
+    s.attest = flags.toggle("attest", s.attest);
+    s.attestExpectDepth =
+        flags.u64("attest-expect-depth", s.attestExpectDepth);
+    s.migrateEvery = flags.u64("migrate", s.migrateEvery);
+    s.supervise = flags.toggle("supervise", s.supervise);
+    s.faults = flags.str("faults", s.faults);
+    s.faultSeed = flags.u64("fault-seed", s.chaos ? chaosSeed : s.faultSeed);
+    flags.finish();
 
-    const std::string topology = flagStr(argc, argv, "topology", "flat");
     if (topology != "flat" && topology != "cvm") {
         std::fprintf(stderr, "error: --topology must be flat or cvm\n");
         return 2;
     }
-    const bool cvm = topology == "cvm";
-
-    const std::uint64_t tenants =
-        flagU64(argc, argv, "tenants", chaos ? 24 : 8);
-    const std::uint64_t requests =
-        flagU64(argc, argv, "requests", chaos ? 960 : 200);
-    const std::uint64_t batch = flagU64(argc, argv, "batch", 8);
-    // The cvm tree's root + per-gateway TCS pools are unevictable, so
-    // its pressure runs need a slightly larger (still heavily
-    // oversubscribed) EPC floor.
-    const std::uint64_t epcPages =
-        flagU64(argc, argv, "epc-pages", chaos ? (cvm ? 1280 : 1024) : 0);
-    const std::uint64_t deadline = flagU64(argc, argv, "deadline", 0);
-    const std::uint64_t queueDepth = flagU64(argc, argv, "queue-depth", 64);
-    const bool switchless = flagU64(argc, argv, "switchless", 0) != 0;
-    const std::uint64_t threads = flagU64(argc, argv, "threads", 1);
-    const std::string tracePath = flagStr(argc, argv, "chrome-trace", "");
-    const bool attest = flagU64(argc, argv, "attest", 1) != 0;
-    const std::uint64_t attestExpectDepth =
-        flagU64(argc, argv, "attest-expect-depth", 0);
-    const std::uint64_t migrateEvery = flagU64(argc, argv, "migrate", 0);
-    const bool supervise = flagU64(argc, argv, "supervise", 0) != 0;
-    // Mid-storm migrations: the chaos plan gains the migration sites so
-    // some moves abort at export or import and must roll back with the
-    // source still serving.
-    std::string chaosPlan = kChaosPlan;
-    if (chaos && migrateEvery > 0) {
-        chaosPlan += "; migrate-export-fail@n=2; migrate-import-fail@n=2";
-    }
-    // Supervised chaos adds the failure-domain sites: a crashed gateway
-    // refuses every dispatch until the supervisor's subtree rung rebuilds
-    // it, and a wedged poller refuses until the kick rung disarms it
-    // (poller-wedge only has occurrences on the switchless path).
-    if (chaos && supervise) {
-        chaosPlan += "; gateway-crash@n=2; poller-wedge@n=2";
-    }
-    const std::string faultSpec =
-        flagStr(argc, argv, "faults", chaos ? chaosPlan : "");
-    const std::uint64_t faultSeed =
-        flagU64(argc, argv, "fault-seed", chaos ? chaosSeed : 1);
-
-    sgx::Machine::Config mc;
-    mc.dramBytes = 256ull << 20;
-    mc.prmBase = 128ull << 20;
-    mc.prmBytes = 64ull << 20;
-    const std::uint64_t tenantsPerOuter = 4;
-    const std::uint64_t gatewayEstimate =
-        (tenants + tenantsPerOuter - 1) / tenantsPerOuter;
-    if (switchless) {
-        // One parked poller core per tenant, one per gateway, plus the
-        // host workers: polling trades cores for transitions, so the
-        // simulated socket grows with the fleet. The cvm tree parks one
-        // more poller inside the shared root.
-        mc.coreCount =
-            std::uint32_t(tenants + gatewayEstimate + (cvm ? 3 : 2));
-    }
-    if (epcPages > 0) {
-        // Shrink the PRM so EPC pressure kicks in at small scale.
-        mc.prmBytes = (epcPages + 64) * hw::kPageSize;
-    }
-    // One simulated core per worker thread, on top of whatever the
-    // switchless sizing already asked for.
-    if (threads > 1 && mc.coreCount < threads) {
-        mc.coreCount = std::uint32_t(threads);
-    }
-    sgx::Machine machine(mc);
-    os::Kernel kernel(machine);
-    os::Pid pid = kernel.createProcess();
-    sdk::Urts urts(kernel, pid);
-    for (hw::CoreId c = 0; c < machine.coreCount(); ++c) {
-        kernel.schedule(c, pid);
+    std::string why;
+    if (!s.validate(&why)) {
+        std::fprintf(stderr, "error: %s\n", why.c_str());
+        return 2;
     }
 
-    std::unique_ptr<trace::ChromeTraceSink> sink;
-    if (!tracePath.empty()) {
-        sink = std::make_unique<trace::ChromeTraceSink>(2400.0, false);
-        machine.trace().subscribe(sink.get());
-        // Real worker threads publish concurrently: buffer per-shard and
-        // merge by global sequence. Serial runs never enter this mode,
-        // keeping --threads 1 trace output byte-identical.
-        if (threads > 1) machine.trace().enableParallel(threads);
+    const serve::ScenarioResult r = s.run();
+    if (!r.status) {
+        std::fprintf(stderr, "error: %s\n", r.error.c_str());
+        return 1;
     }
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!faultSpec.empty()) {
-        std::string parseError;
-        auto plan = fault::FaultPlan::parse(faultSpec, &parseError);
-        if (!plan) {
-            std::fprintf(stderr, "error: --faults: %s\n",
-                         parseError.c_str());
-            return 2;
-        }
-        injector = std::make_unique<fault::FaultInjector>(plan.value(),
-                                                          faultSeed);
-    }
-
-    serve::TenantService::Config sc;
-    sc.admission.maxQueueDepth = queueDepth;
-    sc.admission.deadlineCycles = deadline;
-    sc.pool.batchSize = batch;
-    sc.pool.threads = threads;
-    sc.switchless.enabled = switchless;
-    sc.switchless.hostCores = 2;
-    if (cvm) {
-        sc.registry.topology = serve::Topology::Cvm;
-        // The CVM root's TCS pool carries every concurrent entry into
-        // the tree: worker threads, and under switchless one parked
-        // poller per tenant/gateway plus the root's own.
-        sc.registry.cvmTcs =
-            std::uint32_t(tenants + gatewayEstimate + threads + 4);
-        // Per-gateway ring pairs + staging live in the root's heap.
-        sc.registry.cvmHeapPages =
-            std::uint64_t(64 + 8 * gatewayEstimate);
-    }
-    if (chaos) {
-        // One failed batch opens the breaker, so the open -> half-open
-        // probe -> close cycle is guaranteed to run within the chaos
-        // window; the cooldown is roughly one batch of service time.
-        sc.pool.breakerThreshold = 1;
-        sc.pool.breakerCooldownCycles = 150000;
-    }
-    sc.attestOnboarding = attest;
-    if (attestExpectDepth > 0) {
-        sc.attestDepthOverride = std::uint32_t(attestExpectDepth);
-    }
-    serve::TenantService service(urts, sc);
-
-    // sql only when delivery is lossless (shadow-db expectations replay
-    // every statement); deadline shedding and fault injection both drop
-    // requests, so those runs stick to the per-request workloads.
-    const std::vector<serve::Workload> mix =
-        (deadline == 0 && !injector)
-            ? std::vector<serve::Workload>{serve::Workload::Echo,
-                                           serve::Workload::Sql,
-                                           serve::Workload::Svm}
-            : std::vector<serve::Workload>{serve::Workload::Echo,
-                                           serve::Workload::Svm};
-
-    std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (std::uint64_t t = 0; t < tenants; ++t) {
-        auto workload = mix[t % mix.size()];
-        auto handle = service.addTenant(serve::TenantId(t), workload);
-        if (!handle) {
-            std::fprintf(stderr,
-                         "error: tenant %llu refused at onboarding: %s\n",
-                         (unsigned long long)t, handle.status().name());
-            return 1;
-        }
-        // Attested onboarding hands the client the EGETKEY-rooted
-        // session key; an empty key falls back to the legacy
-        // out-of-band secret.
-        const Bytes sessionKey =
-            service.sessionKeyFor(serve::TenantId(t));
-        clients.push_back(std::make_unique<serve::TenantClient>(
-            serve::TenantId(t), workload, sessionKey));
-    }
-
-    // Park the switchless pollers while the world is still fault-free,
-    // then snapshot the transition counters: everything after this point
-    // is the request path the transitions-per-request figure describes.
-    const std::size_t armedChannels = service.armSwitchless();
-    const std::uint64_t transitionsBase =
-        machine.trace().counters().eenterCount +
-        machine.trace().counters().neenterCount;
-
-    // Armed only now: tenant setup must succeed unconditionally, and
-    // trigger occurrence counts stay independent of the setup's leaf
-    // traffic.
-    if (injector) machine.setFaultInjector(injector.get());
-
-    serve::Histogram latency;
-    std::uint64_t completedOk = 0;
-    std::uint64_t integrityRefused = 0;
-    std::uint64_t typedErrors = 0;
-    std::uint64_t silentEmpties = 0;
-    std::uint64_t backpressured = 0;
-    std::uint64_t typedByErr[kErrCount] = {};
-
-    // The failure-domain watchdog (--supervise 1): ticks after every
-    // pump, so wedges are detected at batch granularity and the ladder's
-    // actions (kick/rebuild/evacuate-to-another-gateway) run between
-    // pumps on the main thread.
-    migrate::MigrationEngine migrator;
-    std::unique_ptr<supervise::Supervisor> supervisor;
-    if (supervise) {
-        supervisor =
-            std::make_unique<supervise::Supervisor>(service,
-                                                    supervise::Config{});
-        supervisor->attachEngine(migrator);
-    }
-
-    // The parallel pool drains its owned queues completely per call, so
-    // maxBatches only applies to the serial path (where it always did).
-    auto pumpAll = [&](std::size_t maxBatches) {
-        const std::size_t batches = threads > 1
-                                        ? service.pumpParallel(threads)
-                                        : service.pump(maxBatches);
-        if (supervisor) supervisor->tick();
-        return batches;
-    };
-
-    auto drainInto = [&]() {
-        // A tenant is rebuilt at most once per pump, so one reset per
-        // (tenant, drain) keeps the client mirror exact.
-        std::set<serve::TenantId> rebuiltSeen;
-        for (serve::Completion& done : service.drain()) {
-            latency.add(done.latencyCycles);
-            if (done.tenantRebuilt &&
-                rebuiltSeen.insert(done.tenant).second) {
-                clients[done.tenant]->onTenantRebuilt();
-            }
-            if (done.ok) {
-                if (clients[done.tenant]->onResponse(done.sealedResponse)) {
-                    ++completedOk;
-                } else {
-                    ++integrityRefused;
-                }
-            } else if (done.status.isOk()) {
-                // ok == false must always carry a typed reason.
-                ++silentEmpties;
-            } else {
-                ++typedErrors;
-                ++typedByErr[std::size_t(done.error())];
-                // Rebuild-marked errors already reset the whole client;
-                // for the rest, retire the oldest pending expectation
-                // (requests complete in sequence order per tenant).
-                if (!done.tenantRebuilt) clients[done.tenant]->onDropped();
-            }
-        }
-    };
-
-    // Closed loop: every tenant keeps one small window in flight.
-    std::uint64_t submitted = 0;
-    std::uint64_t cursor = 0;
-    std::uint64_t migrateCursor = 0;
-    while (submitted < requests) {
-        const serve::TenantId t = serve::TenantId(cursor % tenants);
-        ++cursor;
-        Bytes req = clients[t]->nextRequest();
-        Status st = service.submit(t, std::move(req));
-        if (st.code() == Err::Backpressure) {
-            ++backpressured;
-            clients[t]->onDropped();
-            pumpAll(4);  // let the pool catch up, then move on
-            drainInto();
-            continue;
-        }
-        if (!st) {
-            std::fprintf(stderr, "error: submit: %s\n", st.name());
-            return 1;
-        }
-        ++submitted;
-        // Live migration mid-stream: the moved tenant's queued and
-        // future requests must keep verifying with no reseal — failed
-        // moves (chaos can hit the migrate fault sites) roll back to
-        // the intact source and are just counted.
-        if (migrateEvery > 0 && submitted % migrateEvery == 0) {
-            const serve::TenantId victim =
-                serve::TenantId(migrateCursor++ % tenants);
-            (void)migrator.migrateToGateway(service, victim);
-        }
-        if (submitted % (batch * tenants) == 0) {
-            pumpAll(std::size_t(-1));
-            drainInto();
-        }
-    }
-    pumpAll(std::size_t(-1));
-    drainInto();
-
-    // Recovery phase: stop injecting and require every tenant to serve
-    // a verified response again — open breakers must probe shut and
-    // inner-less tenants must finish rebuilding. The clock charge lets
-    // half-open probe deadlines pass between rounds.
-    std::uint64_t recovered = 0;
-    if (injector) {
-        injector->disarm();
-        std::vector<bool> healed(tenants, false);
-        const std::uint64_t before[2] = {completedOk, typedErrors};
-        (void)before;
-        for (int round = 0; round < 64 && recovered < tenants; ++round) {
-            for (std::uint64_t t = 0; t < tenants; ++t) {
-                if (healed[t]) continue;
-                const std::uint64_t wasVerified = clients[t]->verified();
-                Status st = service.submit(
-                    serve::TenantId(t), clients[t]->nextRequest());
-                if (!st) {
-                    clients[t]->onDropped();
-                }
-                pumpAll(std::size_t(-1));
-                drainInto();
-                if (clients[t]->verified() > wasVerified) {
-                    healed[t] = true;
-                    ++recovered;
-                }
-            }
-            machine.charge(sc.pool.breakerCooldownCycles + 1);
-        }
-        // A tenant that never healed is a bug somewhere in the recovery
-        // machinery; dump its failure-domain state next to the FAIL.
-        if (recovered < tenants) {
-            std::size_t resident = 0;
-            for (const auto& [secs, rec] :
-                 urts.kernel().enclaveTable()) {
-                resident += 1 + rec.pages.size();
-            }
-            std::fprintf(stderr,
-                         "epc: %zu free, %zu enclaves (%zu resident "
-                         "pages), %zu gateways\n",
-                         urts.kernel().freeEpcPages(),
-                         urts.kernel().enclaveTable().size(),
-                         resident, service.registry().gatewayCount());
-        }
-        for (std::uint64_t t = 0; t < tenants; ++t) {
-            if (healed[t]) continue;
-            const serve::TenantHandle* h =
-                service.registry().find(serve::TenantId(t));
-            std::fprintf(stderr,
-                         "unrecovered tenant %llu: queued %zu, breaker "
-                         "%s, gateway %s, inner %s\n",
-                         (unsigned long long)t,
-                         service.admission().depth(serve::TenantId(t)),
-                         service.pool().breakerOpen(serve::TenantId(t))
-                             ? "open"
-                             : "closed",
-                         h && service.registry().gatewayCrashed(
-                                  h->gatewayIndex)
-                             ? "crashed"
-                             : "up",
-                         h ? (h->inner ? "alive" : "missing") : "gone");
-        }
-    }
-
-    const auto& counters = machine.trace().counters();
-    std::uint64_t failures = 0;
-    for (const auto& client : clients) failures += client->failures();
+    const bool faulted = !s.faultPlan().empty();
+    const trace::StatsCounters& c = r.counters;
 
     std::printf("nesgx_serve: %llu tenants, %llu requests%s%s\n",
-                (unsigned long long)tenants, (unsigned long long)submitted,
-                cvm ? " [cvm depth-3]" : "", chaos ? " [chaos]" : "");
-    std::printf("  gateways            : %zu\n",
-                service.registry().gatewayCount());
-    std::printf("  verified ok         : %llu\n",
-                (unsigned long long)completedOk);
-    std::printf("  integrity failures  : %llu\n",
-                (unsigned long long)failures);
-    std::printf("  shed (deadline)     : %llu\n",
-                (unsigned long long)service.admission().shed());
-    std::printf("  backpressured       : %llu\n",
-                (unsigned long long)backpressured);
+                (unsigned long long)s.tenants,
+                (unsigned long long)r.submitted, s.cvm ? " [cvm depth-3]" : "",
+                s.chaos ? " [chaos]" : "");
+    row("gateways", r.gateways);
+    row("verified ok", r.verified);
+    row("integrity failures", r.failures);
+    row("shed (deadline)", r.shed);
+    row("backpressured", r.backpressured);
     std::printf("  batches             : %llu (%.2f req/batch)\n",
-                (unsigned long long)counters.serveBatches,
-                counters.serveBatches
-                    ? double(counters.serveBatchedRequests) /
-                          double(counters.serveBatches)
-                    : 0.0);
+                (unsigned long long)c.serveBatches,
+                c.serveBatches ? double(c.serveBatchedRequests) /
+                                     double(c.serveBatches)
+                               : 0.0);
     std::printf("  tenant evictions    : %llu (reloads %llu)\n",
-                (unsigned long long)counters.serveTenantEvictions,
-                (unsigned long long)counters.serveTenantReloads);
+                (unsigned long long)c.serveTenantEvictions,
+                (unsigned long long)c.serveTenantReloads);
     std::printf("  EENTER/NEENTER      : %llu / %llu\n",
-                (unsigned long long)counters.eenterCount,
-                (unsigned long long)counters.neenterCount);
-    if (switchless) {
-        const std::uint64_t transitions = counters.eenterCount +
-                                          counters.neenterCount -
-                                          transitionsBase;
-        const auto* engine = service.switchlessEngine();
-        std::printf("  switchless          : %zu channels, %llu ring calls, "
+                (unsigned long long)c.eenterCount,
+                (unsigned long long)c.neenterCount);
+    if (s.switchless) {
+        std::printf("  switchless          : %llu channels, %llu ring calls, "
                     "%llu polls\n",
-                    armedChannels,
-                    (unsigned long long)(engine
-                                             ? engine->engineStats().calls
-                                                   .load()
-                                             : 0),
-                    (unsigned long long)counters.switchlessPolls);
+                    (unsigned long long)r.switchlessChannels,
+                    (unsigned long long)r.ringCalls,
+                    (unsigned long long)c.switchlessPolls);
         std::printf("  transitions/request : %.4f (post-arming)\n",
-                    submitted ? double(transitions) / double(submitted) : 0.0);
+                    r.submitted ? double(r.transitions) / double(r.submitted)
+                                : 0.0);
     }
     std::printf("  latency cycles      : p50 %llu  p95 %llu  p99 %llu\n",
-                (unsigned long long)latency.p50(),
-                (unsigned long long)latency.p95(),
-                (unsigned long long)latency.p99());
-    if (attest) {
+                (unsigned long long)r.latency.p50(),
+                (unsigned long long)r.latency.p95(),
+                (unsigned long long)r.latency.p99());
+    if (s.attest) {
         std::printf("  attested onboarding : %llu tenants (session keys "
                     "EGETKEY-rooted)\n",
-                    (unsigned long long)tenants);
+                    (unsigned long long)s.tenants);
     }
-    if (migrateEvery > 0) {
-        const auto& ms = migrator.stats();
+    if (s.migrateEvery > 0) {
+        const auto& ms = r.migration;
         std::printf("  --- live migration ---\n");
         std::printf("  migrations          : %llu attempted, %llu "
                     "committed, %llu aborted (%llu rolled back)\n",
@@ -557,58 +166,48 @@ main(int argc, char** argv)
                     (unsigned long long)ms.gatewayMoves,
                     (unsigned long long)ms.aborted,
                     (unsigned long long)ms.rolledBack);
-        std::printf("  pages drained       : %llu\n",
-                    (unsigned long long)ms.pagesDrained);
+        row("pages drained", ms.pagesDrained);
         std::printf("  migration cycles    : p50 %llu  p95 %llu\n",
                     (unsigned long long)ms.latency.p50(),
                     (unsigned long long)ms.latency.p95());
     }
 
-    std::size_t distinctSites = 0;
-    if (injector) {
-        const serve::WorkerPool& pool = service.pool();
+    if (faulted) {
         std::printf("  --- fault injection / self-healing ---\n");
-        std::printf("  faults injected     : %llu\n",
-                    (unsigned long long)injector->totalInjected());
-        for (std::size_t s = 0; s < fault::kFaultSiteCount; ++s) {
-            const auto site = fault::FaultSite(s);
-            if (injector->injected(site) == 0) continue;
-            ++distinctSites;
+        row("faults injected", r.faultsInjected);
+        for (std::size_t site = 0; site < fault::kFaultSiteCount; ++site) {
+            if (r.injectedAt[site] == 0) continue;
             std::printf("    %-17s : %llu (of %llu occurrences)\n",
-                        fault::siteName(site),
-                        (unsigned long long)injector->injected(site),
-                        (unsigned long long)injector->occurrences(site));
+                        fault::siteName(fault::FaultSite(site)),
+                        (unsigned long long)r.injectedAt[site],
+                        (unsigned long long)r.occurrencesAt[site]);
         }
-        std::printf("  typed errors        : %llu\n",
-                    (unsigned long long)typedErrors);
+        row("typed errors", r.typedErrors);
         for (std::size_t e = 0; e < kErrCount; ++e) {
-            if (typedByErr[e] == 0) continue;
+            if (r.typedByErr[e] == 0) continue;
             std::printf("    %-17s : %llu\n", errName(Err(e)),
-                        (unsigned long long)typedByErr[e]);
+                        (unsigned long long)r.typedByErr[e]);
         }
-        std::printf("  silent empties      : %llu\n",
-                    (unsigned long long)silentEmpties);
-        std::printf("  retries             : %llu\n",
-                    (unsigned long long)pool.retries());
+        row("silent empties", r.silentEmpties);
+        row("retries", r.retries);
         std::printf("  tenant rebuilds     : %llu (subtree %llu)\n",
-                    (unsigned long long)pool.rebuilds(),
-                    (unsigned long long)pool.subtreeRebuilds());
+                    (unsigned long long)r.rebuilds,
+                    (unsigned long long)r.subtreeRebuilds);
         std::printf("  breaker open/close  : %llu / %llu\n",
-                    (unsigned long long)pool.breakerOpens(),
-                    (unsigned long long)pool.breakerCloses());
-        std::printf("  watermark misses    : %llu\n",
-                    (unsigned long long)service.pressure().watermarkMisses());
-        if (!pool.rebuildLatency().empty()) {
+                    (unsigned long long)r.breakerOpens,
+                    (unsigned long long)r.breakerCloses);
+        row("watermark misses", r.watermarkMisses);
+        if (!r.rebuildLatency.empty()) {
             std::printf("  rebuild cycles      : p50 %llu  p95 %llu\n",
-                        (unsigned long long)pool.rebuildLatency().p50(),
-                        (unsigned long long)pool.rebuildLatency().p95());
+                        (unsigned long long)r.rebuildLatency.p50(),
+                        (unsigned long long)r.rebuildLatency.p95());
         }
         std::printf("  recovered tenants   : %llu / %llu\n",
-                    (unsigned long long)recovered,
-                    (unsigned long long)tenants);
+                    (unsigned long long)r.recovered,
+                    (unsigned long long)s.tenants);
     }
-    if (supervisor) {
-        const auto& ss = supervisor->stats();
+    const auto& ss = r.supervision;
+    if (s.supervise) {
         std::printf("  --- supervision ---\n");
         std::printf("  watchdog ticks      : %llu (wedges %llu)\n",
                     (unsigned long long)ss.ticks,
@@ -625,48 +224,36 @@ main(int argc, char** argv)
                         (unsigned long long)ss.detectionLatency.p95());
         }
     }
-
-    if (sink) {
-        // Parallel mode buffers events per shard; drain the merged,
-        // seq-ordered stream into the sink before detaching it.
-        if (machine.trace().parallelEnabled()) {
-            machine.trace().disableParallel();
-        }
-        machine.trace().unsubscribe(sink.get());
-        if (!sink->writeFile(tracePath)) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         tracePath.c_str());
-            return 1;
-        }
-        std::printf("  [chrome trace written to %s]\n", tracePath.c_str());
+    if (!s.chromeTrace.empty()) {
+        std::printf("  [chrome trace written to %s]\n", s.chromeTrace.c_str());
     }
 
-    bool fail = failures > 0 || silentEmpties > 0;
-    if (failures > 0) {
+    bool fail = r.failures > 0 || r.silentEmpties > 0;
+    if (r.failures > 0) {
         std::fprintf(stderr, "FAIL: %llu integrity failures\n",
-                     (unsigned long long)failures);
+                     (unsigned long long)r.failures);
     }
-    if (silentEmpties > 0) {
+    if (r.silentEmpties > 0) {
         std::fprintf(stderr, "FAIL: %llu completions failed without a "
                              "typed error\n",
-                     (unsigned long long)silentEmpties);
+                     (unsigned long long)r.silentEmpties);
     }
-    if (injector && recovered < tenants) {
+    if (faulted && r.recovered < s.tenants) {
         std::fprintf(stderr, "FAIL: only %llu/%llu tenants recovered\n",
-                     (unsigned long long)recovered,
-                     (unsigned long long)tenants);
+                     (unsigned long long)r.recovered,
+                     (unsigned long long)s.tenants);
         fail = true;
     }
-    if (chaos) {
-        if (injector->totalInjected() == 0 || distinctSites < 5) {
+    if (s.chaos) {
+        if (r.faultsInjected == 0 || r.faultSites < 5) {
             std::fprintf(stderr,
-                         "FAIL: chaos run injected %llu faults at %zu "
+                         "FAIL: chaos run injected %llu faults at %llu "
                          "sites (need > 0 at >= 5 sites)\n",
-                         (unsigned long long)injector->totalInjected(),
-                         distinctSites);
+                         (unsigned long long)r.faultsInjected,
+                         (unsigned long long)r.faultSites);
             fail = true;
         }
-        if (service.pool().rebuilds() == 0) {
+        if (r.rebuilds == 0) {
             std::fprintf(stderr, "FAIL: chaos run rebuilt no tenant\n");
             fail = true;
         }
@@ -676,8 +263,7 @@ main(int argc, char** argv)
         // rung fires depends on the dispatch path — classic dispatch
         // trips gateway-crash into subtree rebuilds, the switchless path
         // trips poller-wedge into kicks.)
-        if (supervisor) {
-            const auto& ss = supervisor->stats();
+        if (s.supervise) {
             const std::uint64_t ladderActions =
                 ss.kicks + ss.tenantRebuilds + ss.subtreeRebuilds +
                 ss.evacuations;
@@ -691,7 +277,7 @@ main(int argc, char** argv)
             }
         }
     }
-    if (migrateEvery > 0 && migrator.stats().gatewayMoves == 0) {
+    if (s.migrateEvery > 0 && r.migration.gatewayMoves == 0) {
         std::fprintf(stderr, "FAIL: --migrate armed but no live "
                              "migration committed\n");
         fail = true;

@@ -545,6 +545,15 @@ TenantService::TenantService(sdk::Urts& urts, Config config)
     }
 }
 
+Status
+TenantService::Config::validate() const
+{
+    if (pool.batchSize == 0 || admission.maxQueueDepth == 0) {
+        return Err::InvalidConfig;
+    }
+    return Status::ok();
+}
+
 std::size_t
 TenantService::armSwitchless()
 {

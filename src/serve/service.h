@@ -254,6 +254,11 @@ class TenantService {
         /** Override of the chain depth the verifier demands (tests/CI
          *  prove end-to-end refusal on a topology/depth mismatch). */
         std::optional<std::uint32_t> attestDepthOverride;
+
+        /** Err::InvalidConfig when the service could never make
+         *  progress: a zero batch size dispatches nothing, and a zero
+         *  queue depth refuses every submit with Backpressure forever. */
+        Status validate() const;
     };
 
     TenantService(sdk::Urts& urts, Config config);

@@ -64,10 +64,13 @@ enum class Err : std::uint32_t {
     /// tenant moved or rebuilt since the client last resolved it. The
     /// client must re-resolve placement and retry (redirect semantics).
     WrongEpoch,
+    /// A configuration refused before anything ran (zero tenants, zero
+    /// batch size, a thread count past the documented cap, ...).
+    InvalidConfig,
 };
 
 /** Number of Err enumerators (exhaustive errName round-trip tests). */
-constexpr std::size_t kErrCount = std::size_t(Err::WrongEpoch) + 1;
+constexpr std::size_t kErrCount = std::size_t(Err::InvalidConfig) + 1;
 
 /** Human-readable name for an error code. */
 const char* errName(Err e);

@@ -1,12 +1,16 @@
-/** Tests for the support substrate: bytes, rng, status. */
+/** Tests for the support substrate: bytes, rng, status, flags, and the
+ *  did-you-mean helper. */
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "support/bytes.h"
+#include "support/flags.h"
 #include "support/rng.h"
 #include "support/status.h"
+#include "support/suggest.h"
 
 namespace nesgx {
 namespace {
@@ -131,6 +135,7 @@ TEST(Status, ErrNamesAreUnique)
     EXPECT_STREQ(errName(Err::Ok), "Ok");
     EXPECT_STREQ(errName(Err::AssociationRejected), "AssociationRejected");
     EXPECT_STREQ(errName(Err::TrackingIncomplete), "TrackingIncomplete");
+    EXPECT_STREQ(errName(Err::InvalidConfig), "InvalidConfig");
 }
 
 TEST(Status, EveryErrHasADistinctRealName)
@@ -148,6 +153,135 @@ TEST(Status, EveryErrHasADistinctRealName)
     }
     // Out-of-range values get the placeholder, not garbage.
     EXPECT_STREQ(errName(Err(kErrCount)), "Unknown");
+}
+
+Flags
+makeFlags(std::vector<std::string> args,
+          std::vector<std::string> switches = {})
+{
+    static std::vector<std::string> storage;
+    storage = std::move(args);
+    storage.insert(storage.begin(), "test");
+    static std::vector<char*> argv;
+    argv.clear();
+    for (auto& s : storage) argv.push_back(s.data());
+    return Flags(int(argv.size()), argv.data(), std::move(switches));
+}
+
+TEST(BenchFlags, ValidValuesParseAndFallbacksApply)
+{
+    Flags flags = makeFlags({"--threads", "4", "--rate", "2.5"});
+    EXPECT_EQ(flags.u64("threads", 1), 4u);
+    EXPECT_DOUBLE_EQ(flags.f64("rate", 1.0), 2.5);
+    EXPECT_EQ(flags.u64("absent", 7), 7u);
+    EXPECT_DOUBLE_EQ(flags.f64("absent", 0.25), 0.25);
+    EXPECT_EQ(flags.str("absent", "x"), "x");
+}
+
+TEST(BenchFlagsDeathTest, TrailingGarbageExitsTwo)
+{
+    // "4x" used to parse as 4 via stoull's partial consume.
+    EXPECT_EXIT(
+        {
+            Flags flags = makeFlags({"--threads", "4x"});
+            flags.u64("threads", 1);
+        },
+        testing::ExitedWithCode(2), "expects a non-negative number");
+}
+
+TEST(BenchFlagsDeathTest, NegativeU64ExitsTwo)
+{
+    // "-1" used to wrap to 2^64-1 through stoull.
+    EXPECT_EXIT(
+        {
+            Flags flags = makeFlags({"--threads", "-1"});
+            flags.u64("threads", 1);
+        },
+        testing::ExitedWithCode(2), "expects a non-negative number");
+}
+
+TEST(BenchFlagsDeathTest, NonNumericExitsTwo)
+{
+    // "abc" used to abort with an uncaught std::invalid_argument.
+    EXPECT_EXIT(
+        {
+            Flags flags = makeFlags({"--threads", "abc"});
+            flags.u64("threads", 1);
+        },
+        testing::ExitedWithCode(2), "expects a non-negative number");
+}
+
+TEST(BenchFlagsDeathTest, NegativeF64ExitsTwo)
+{
+    EXPECT_EXIT(
+        {
+            Flags flags = makeFlags({"--rate", "-0.5"});
+            flags.f64("rate", 1.0);
+        },
+        testing::ExitedWithCode(2), "expects a non-negative number");
+}
+
+TEST(BenchFlagsDeathTest, TrailingFlagWithoutValueExitsTwo)
+{
+    EXPECT_EXIT(makeFlags({"--threads"}), testing::ExitedWithCode(2),
+                "expects a value");
+}
+
+TEST(Flags, SwitchesTakeNoValueAndDashHIsHelp)
+{
+    Flags flags =
+        makeFlags({"--trace", "--seeds", "4", "-h"}, {"trace", "help"});
+    EXPECT_TRUE(flags.has("trace"));
+    EXPECT_TRUE(flags.has("help"));
+    EXPECT_FALSE(flags.has("depth-ops"));
+    EXPECT_EQ(flags.u64("seeds", 16), 4u);
+    flags.finish();  // everything given was read
+}
+
+TEST(Flags, ToggleAcceptsOnlyZeroOrOne)
+{
+    Flags flags = makeFlags({"--attest", "0", "--switchless", "1"});
+    EXPECT_FALSE(flags.toggle("attest", true));
+    EXPECT_TRUE(flags.toggle("switchless", false));
+    EXPECT_TRUE(flags.toggle("absent", true));
+}
+
+TEST(FlagsDeathTest, ToggleOtherValueExitsTwo)
+{
+    EXPECT_EXIT(
+        {
+            Flags flags = makeFlags({"--attest", "2"});
+            flags.toggle("attest", true);
+        },
+        testing::ExitedWithCode(2), "expects 0 or 1");
+}
+
+TEST(FlagsDeathTest, UnreadFlagExitsTwoWithSuggestion)
+{
+    EXPECT_EXIT(
+        {
+            Flags flags = makeFlags({"--tenant", "3"});
+            flags.u64("tenants", 8);
+            flags.finish();
+        },
+        testing::ExitedWithCode(2),
+        "unknown flag --tenant — did you mean '--tenants'");
+}
+
+TEST(FlagsDeathTest, StrayPositionalExitsTwo)
+{
+    EXPECT_EXIT(makeFlags({"--tenants", "3", "extra"}),
+                testing::ExitedWithCode(2), "unexpected argument \"extra\"");
+}
+
+TEST(Suggest, ClosestNameWithinHalfTheTypoLength)
+{
+    EXPECT_EQ(editDistance("gatway-crash", "gateway-crash"), 1u);
+    EXPECT_EQ(editDistance("", "abc"), 3u);
+    EXPECT_EQ(closestName("tenant", {"requests", "tenants", "threads"}),
+              "tenants");
+    // Too far from every candidate: no suggestion beats a wrong one.
+    EXPECT_EQ(closestName("zzzzzzzz", {"tenants", "threads"}), "");
 }
 
 }  // namespace
