@@ -333,7 +333,11 @@ struct SweepCase {
     Target target;
     hw::Access access;
     bool expectOk;
+    // gtest names each instance after the raw bytes of its parameter, so
+    // the tail padding is spelled out and zeroed to keep the names stable.
+    unsigned char pad[3]{};
 };
+static_assert(sizeof(SweepCase) == 16, "SweepCase must have no implicit padding");
 
 class AccessSweep : public AccessControl,
                     public ::testing::WithParamInterface<SweepCase> {
