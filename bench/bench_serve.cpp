@@ -26,12 +26,6 @@
  * rings, so transitions per request must collapse to ~0 while every
  * sealed response still verifies.
  *
- * The thread-scaling section measures the whole request volume for a
- * 24-tenant fleet queued up front, then the parallel worker pool
- * (WorkerPool::runParallel, one OS thread per simulated core) drains it
- * while a wall-clock timer runs — requests/sec at 1, 2 and 4 threads,
- * every response still verified.
- *
  * The CVM section nests the whole fleet one level deeper (Topology
  * ::Cvm): a depth-1 CVM root hosts every gateway as a depth-2 inner and
  * tenants serve at depth 3, over per-hop switchless rings under EPC
@@ -56,7 +50,6 @@
  * chaos_faults_injected > 0, chaos_rebuilds >= 1, chaos_silent_empties == 0,
  * transitions_per_request_switchless <= 0.01 <
  * transitions_per_request_batched < transitions_per_request_classic,
- * requests_per_sec_t1 <= requests_per_sec_t2 <= requests_per_sec_t4,
  * cvm_verified == cvm_submitted with cvm_transitions_per_request
  * <= 0.01 under cvm_evictions >= 10, migrate_verified ==
  * migrate_submitted with migrate_gateway_moves >= tenants and
@@ -73,10 +66,8 @@
  * host B) — detection latency, evacuation p50/p95 and time to full
  * recovery are reported, and every response must still verify.
  */
-#include <chrono>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "bench_util.h"
 #include "fault/injector.h"
@@ -89,7 +80,7 @@
 namespace nesgx::bench {
 namespace {
 
-/** Sections 3-5, 7 and 9: 4x the tenants and twice the requests of
+/** Sections 3-6 and 8: 4x the tenants and twice the requests of
  *  sections 1-2, on an EPC far smaller than the fleet's working set. */
 serve::Scenario
 oversubscribed(std::uint64_t tenants, std::uint64_t requests,
@@ -133,7 +124,7 @@ printLatency(const Histogram& latency)
                 (unsigned long long)latency.p99());
 }
 
-/** Sections 3 and 7: prints the oversubscribed fleet's integrity and
+/** Sections 3 and 6: prints the oversubscribed fleet's integrity and
  *  paging, and requires that the pressure manager really paged. */
 bool
 paged(const serve::ScenarioResult& r, std::uint64_t tenants)
@@ -164,7 +155,7 @@ printFaults(const serve::ScenarioResult& r)
                 (unsigned long long)r.silentEmpties);
 }
 
-/** Sections 4 and 9: faults fired, nothing failed verification or came
+/** Sections 4 and 8: faults fired, nothing failed verification or came
  *  back empty without a typed error, and every tenant served verified
  *  responses again once the faults stopped. */
 bool
@@ -191,7 +182,7 @@ selfHealed(const serve::ScenarioResult& r, const serve::Scenario& scenario,
     return true;
 }
 
-/** Sections 5 and 7: every request verified, and the ring path kept the
+/** Sections 5 and 6: every request verified, and the ring path kept the
  *  steady state (near) transition-free. */
 bool
 exitless(const serve::ScenarioResult& r, const char* run)
@@ -217,7 +208,7 @@ exitless(const serve::ScenarioResult& r, const char* run)
 }
 
 /**
- * Sections 8 and 10: two simulated hosts (distinct sealing-key roots,
+ * Sections 7 and 9: two simulated hosts (distinct sealing-key roots,
  * 1024-page EPCs) behind a Fleet router, tenants onboarded attested on
  * host A.
  */
@@ -268,80 +259,6 @@ struct TwoHostFleet {
     }
 };
 
-struct ScalingResult {
-    std::uint64_t submitted = 0;
-    std::uint64_t verified = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t batches = 0;
-    double seconds = 0.0;
-};
-
-/**
- * Thread-scaling section: queues the whole request volume for the fleet
- * up front, then wall-clock-times the parallel drain alone. Ample EPC
- * and no switchless, so the measurement isolates the worker pool's
- * real-thread scaling rather than paging or ring behaviour.
- */
-ScalingResult
-runThreadScaling(std::size_t threads, std::uint64_t tenants,
-                 std::uint64_t perTenant)
-{
-    auto config = defaultConfig();
-    if (config.coreCount < threads) {
-        config.coreCount = std::uint32_t(threads);
-    }
-    BenchWorld world(config);
-
-    serve::TenantService::Config sc;
-    sc.pool.batchSize = 8;
-    sc.pool.threads = threads;
-    // The whole volume sits queued before the pool runs.
-    sc.admission.maxQueueDepth = perTenant;
-    // 24 tenants / 3 per outer = 8 gateways: divisible by every swept
-    // thread count, so the gateway-partitioned workers stay balanced.
-    sc.registry.tenantsPerOuter = 3;
-    sc.attestOnboarding = true;
-    serve::TenantService service(*world.urts, sc);
-
-    const std::vector<serve::Workload> mix = {serve::Workload::Echo,
-                                              serve::Workload::Sql,
-                                              serve::Workload::Svm};
-    std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (std::uint64_t t = 0; t < tenants; ++t) {
-        auto workload = mix[t % mix.size()];
-        service.addTenant(serve::TenantId(t), workload).orThrow("tenant");
-        const Bytes key = service.sessionKeyFor(serve::TenantId(t));
-        clients.push_back(std::make_unique<serve::TenantClient>(
-            serve::TenantId(t), workload, key));
-    }
-
-    ScalingResult result;
-    for (std::uint64_t i = 0; i < perTenant; ++i) {
-        for (std::uint64_t t = 0; t < tenants; ++t) {
-            service.submit(serve::TenantId(t), clients[t]->nextRequest())
-                .orThrow("submit");
-            ++result.submitted;
-        }
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    service.pumpParallel(threads);
-    const auto stop = std::chrono::steady_clock::now();
-    result.seconds =
-        std::chrono::duration<double>(stop - start).count();
-
-    for (serve::Completion& done : service.drain()) {
-        if (done.ok && clients[done.tenant]->onResponse(done.sealedResponse)) {
-            ++result.verified;
-        }
-    }
-    for (const auto& client : clients) {
-        result.failures += client->failures();
-    }
-    result.batches = world.machine.trace().counters().serveBatches;
-    return result;
-}
-
 }  // namespace
 }  // namespace nesgx::bench
 
@@ -355,12 +272,10 @@ main(int argc, char** argv)
     const std::uint64_t requests = flags.u64("requests", 240);
     const std::string chromeTrace = flags.str("chrome-trace", "");
     const std::uint64_t faultSeed = flags.u64("fault-seed", 7);
-    const std::uint64_t scalingPerTenant =
-        flags.u64("scaling-per-tenant", 20);
     JsonReport json(flags);
     flags.finish();
 
-    header("Serve bench 1/10: NEENTER per request vs worker batch size");
+    header("Serve bench 1/9: NEENTER per request vs worker batch size");
     note("closed loop, ample EPC; one EENTER+NEENTER per dispatched batch,");
     note("so transitions per request fall as batch occupancy rises");
     std::printf("\n  %6s %10s %12s %12s %14s %10s %10s\n", "batch", "verified",
@@ -389,7 +304,7 @@ main(int argc, char** argv)
                     (unsigned long long)r.latency.p99());
         json.set("neenter_per_req_batch" + std::to_string(batch), perReq);
         // Per-mode EENTER+NEENTER per request (post-arming snapshot),
-        // the axis the switchless ablation in section 5/10 completes:
+        // the axis the switchless ablation in section 5/9 completes:
         // batch-1 is the classic one-transition-pair-per-request mode,
         // batch-8 the amortized mode.
         if (batch == 1) {
@@ -405,7 +320,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 2/10: open-loop burst arrivals with deadlines");
+    header("Serve bench 2/9: open-loop burst arrivals with deadlines");
     note("the whole request volume arrives before the pool runs; bounded");
     note("queues push back (Err::Backpressure) and queued requests that");
     note("outlive their deadline are shed at dequeue, never dispatched");
@@ -434,7 +349,7 @@ main(int argc, char** argv)
         json.set("open_loop_p99_cycles", double(r.latency.p99()));
     }
 
-    header("Serve bench 3/10: correctness under EPC pressure");
+    header("Serve bench 3/9: correctness under EPC pressure");
     note("4x the tenants on a small EPC: the pressure manager pages cold");
     note("idle tenants out (EBLOCK/ETRACK/EWB) and the registry reloads");
     note("them transparently (ELDU); every sealed response must still");
@@ -460,7 +375,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 4/10: chaos — fault injection and self-healing");
+    header("Serve bench 4/9: chaos — fault injection and self-healing");
     note("the EPC-pressure scenario with the deterministic fault injector");
     note("armed: storage corruption, refused leaves, allocator failures and");
     note("interrupt storms; the pool retries transients, rebuilds poisoned");
@@ -504,7 +419,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 5/10: switchless ablation — killing the transition tax");
+    header("Serve bench 5/9: switchless ablation — killing the transition tax");
     note("the 4x-oversubscribed tenant fleet again, dispatched over the");
     note("exit-less ring channels: pollers park once up front (classic");
     note("EENTER/NEENTER, before the metric snapshot), then the steady");
@@ -542,52 +457,7 @@ main(int argc, char** argv)
         if (!exitless(r, "switchless")) return 1;
     }
 
-    header("Serve bench 6/10: requests/sec vs real OS worker threads");
-    note("a 24-tenant fleet with its whole request volume queued up front;");
-    note("the parallel pool drains it with one OS thread per simulated core");
-    note("(sharded EPCM, per-core TLBs, merged trace) and a wall-clock timer");
-    note("measures the drain alone — every response still verifies");
-    {
-        const std::uint64_t scalingTenants = 24;
-        // Wall-clock scaling is bounded by the host, not the simulation:
-        // record the real core count so CI can gate the speedup keys
-        // only where the hardware can express a speedup at all.
-        const unsigned hostCpus = std::thread::hardware_concurrency();
-        std::printf("\n  host cpus: %u%s\n", hostCpus,
-                    hostCpus < 4 ? "  (speedup capped by host cores)" : "");
-        json.set("host_cpus", double(hostCpus));
-        std::printf("\n  %8s %10s %10s %10s %14s %9s\n", "threads", "verified",
-                    "batches", "seconds", "req/sec", "speedup");
-        double base = 0.0;
-        for (std::size_t threads : {std::size_t(1), std::size_t(2),
-                                    std::size_t(4)}) {
-            ScalingResult r =
-                runThreadScaling(threads, scalingTenants, scalingPerTenant);
-            if (r.failures > 0 || r.verified != r.submitted) {
-                std::fprintf(stderr,
-                             "FAIL: scaling run t=%zu must verify every "
-                             "request (%llu/%llu, %llu failures)\n",
-                             threads, (unsigned long long)r.verified,
-                             (unsigned long long)r.submitted,
-                             (unsigned long long)r.failures);
-                return 1;
-            }
-            const double reqPerSec =
-                r.seconds > 0.0 ? double(r.verified) / r.seconds : 0.0;
-            if (threads == 1) base = reqPerSec;
-            std::printf("  %8zu %10llu %10llu %10.4f %14.0f %8.2fx\n",
-                        threads, (unsigned long long)r.verified,
-                        (unsigned long long)r.batches, r.seconds, reqPerSec,
-                        base > 0.0 ? reqPerSec / base : 0.0);
-            json.set("requests_per_sec_t" + std::to_string(threads),
-                     reqPerSec);
-            if (threads == 4 && base > 0.0) {
-                json.set("scaling_speedup_t4", reqPerSec / base);
-            }
-        }
-    }
-
-    header("Serve bench 7/10: depth-3 CVM tree — nesting the whole fleet");
+    header("Serve bench 6/9: depth-3 CVM tree — nesting the whole fleet");
     note("--topology cvm: one depth-1 CVM root hosts every gateway as a");
     note("depth-2 inner and tenants serve at depth 3 (paper §VIII). The");
     note("oversubscribed fleet again, dispatched over per-hop switchless");
@@ -622,7 +492,7 @@ main(int argc, char** argv)
         if (!exitless(r, "cvm")) return 1;
     }
 
-    header("Serve bench 8/10: live migration — two hosts, one sealed session");
+    header("Serve bench 7/9: live migration — two hosts, one sealed session");
     note("the 24-tenant 4x-oversubscribed fleet split across two simulated");
     note("host Machines (distinct root keys) behind a Fleet router; every");
     note("tenant live-migrates to a different gateway mid-run and a rolling");
@@ -745,7 +615,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 9/10: chaos x topology — CVM tree under fault storm");
+    header("Serve bench 8/9: chaos x topology — CVM tree under fault storm");
     note("the depth-3 CVM fleet with the fault injector armed (paging");
     note("corruption, refused leaves, allocator failures, interrupt storms");
     note("AND migrate-stage faults) while live migrations fire mid-storm:");
@@ -786,7 +656,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 10/10: failure-domain supervision — evacuation "
+    header("Serve bench 9/9: failure-domain supervision — evacuation "
            "under chaos");
     note("the two-host fleet again, now with a per-host supervisor watching");
     note("heartbeat counters: mid-run the injector crashes a gateway on");

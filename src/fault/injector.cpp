@@ -226,7 +226,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
 bool
 FaultInjector::shouldInject(FaultSite site)
 {
-    std::lock_guard<std::mutex> g(m_);
     const std::size_t index = std::size_t(site);
     const std::uint64_t occurrence = ++occurrences_[index];
     if (!armed_) return false;
@@ -256,7 +255,6 @@ FaultInjector::shouldInject(FaultSite site)
 std::uint64_t
 FaultInjector::totalInjected() const
 {
-    std::lock_guard<std::mutex> g(m_);
     std::uint64_t total = 0;
     for (std::uint64_t n : injected_) total += n;
     return total;

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -135,12 +134,10 @@ class FaultInjector {
     const FaultPlan& plan() const { return plan_; }
     std::uint64_t occurrences(FaultSite site) const
     {
-        std::lock_guard<std::mutex> g(m_);
         return occurrences_[std::size_t(site)];
     }
     std::uint64_t injected(FaultSite site) const
     {
-        std::lock_guard<std::mutex> g(m_);
         return injected_[std::size_t(site)];
     }
     std::uint64_t totalInjected() const;
@@ -149,10 +146,6 @@ class FaultInjector {
     FaultPlan plan_;
     Rng rng_;
     bool armed_ = true;
-    /** Hook sites fire from every worker thread; the occurrence counters
-     *  and the probability RNG stream advance under one lock so a fixed
-     *  (plan, seed) still yields one coherent global schedule. */
-    mutable std::mutex m_;
     std::array<std::uint64_t, kFaultSiteCount> occurrences_{};
     std::array<std::uint64_t, kFaultSiteCount> injected_{};
 };

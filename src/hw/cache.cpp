@@ -8,7 +8,7 @@ LastLevelCache::LastLevelCache(std::uint64_t capacityBytes)
 }
 
 bool
-LastLevelCache::touchLocked(Paddr line)
+LastLevelCache::touchLine(Paddr line)
 {
     auto it = lines_.find(line);
     if (it != lines_.end()) {
@@ -29,18 +29,16 @@ LastLevelCache::touchLocked(Paddr line)
 bool
 LastLevelCache::touch(Paddr pa)
 {
-    std::lock_guard<std::mutex> g(m_);
-    return touchLocked(lineBase(pa));
+    return touchLine(lineBase(pa));
 }
 
 std::uint64_t
 LastLevelCache::touchRange(Paddr pa, std::uint64_t count)
 {
-    std::lock_guard<std::mutex> g(m_);
     std::uint64_t hitLines = 0;
     Paddr line = lineBase(pa);
     for (std::uint64_t i = 0; i < count; ++i) {
-        if (touchLocked(line)) ++hitLines;
+        if (touchLine(line)) ++hitLines;
         line += kCacheLineSize;
     }
     return hitLines;
@@ -49,7 +47,6 @@ LastLevelCache::touchRange(Paddr pa, std::uint64_t count)
 void
 LastLevelCache::flush()
 {
-    std::lock_guard<std::mutex> g(m_);
     lru_.clear();
     lines_.clear();
 }

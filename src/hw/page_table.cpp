@@ -5,21 +5,18 @@ namespace nesgx::hw {
 void
 PageTable::map(Vaddr va, Paddr pa, bool writable, bool executable)
 {
-    std::lock_guard<std::mutex> g(m_);
     entries_[pageNumber(va)] = Pte{pageBase(pa), writable, executable, true};
 }
 
 void
 PageTable::unmap(Vaddr va)
 {
-    std::lock_guard<std::mutex> g(m_);
     entries_.erase(pageNumber(va));
 }
 
 void
 PageTable::setPresent(Vaddr va, bool present)
 {
-    std::lock_guard<std::mutex> g(m_);
     auto it = entries_.find(pageNumber(va));
     if (it != entries_.end()) it->second.present = present;
 }
@@ -27,7 +24,6 @@ PageTable::setPresent(Vaddr va, bool present)
 std::optional<Pte>
 PageTable::walk(Vaddr va) const
 {
-    std::lock_guard<std::mutex> g(m_);
     auto it = entries_.find(pageNumber(va));
     if (it == entries_.end() || !it->second.present) return std::nullopt;
     return it->second;
@@ -36,7 +32,6 @@ PageTable::walk(Vaddr va) const
 std::optional<Pte>
 PageTable::entry(Vaddr va) const
 {
-    std::lock_guard<std::mutex> g(m_);
     auto it = entries_.find(pageNumber(va));
     if (it == entries_.end()) return std::nullopt;
     return it->second;

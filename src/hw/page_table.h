@@ -6,7 +6,6 @@
  */
 #pragma once
 
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -38,18 +37,9 @@ class PageTable {
     /** Raw entry even if not present (used by the OS paging code). */
     std::optional<Pte> entry(Vaddr va) const;
 
-    std::size_t entryCount() const
-    {
-        std::lock_guard<std::mutex> g(m_);
-        return entries_.size();
-    }
+    std::size_t entryCount() const { return entries_.size(); }
 
   private:
-    /** One process page table is walked by every core of the process
-     *  (translation misses) while the OS model maps/unmaps/evicts from
-     *  other threads; walks return Pte copies, never references, so the
-     *  lock scope is the map operation alone. */
-    mutable std::mutex m_;
     std::unordered_map<std::uint64_t, Pte> entries_;  // keyed by VPN
 };
 

@@ -8,7 +8,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace nesgx::hw {
@@ -18,18 +17,9 @@ class SimClock {
     /** Cycles per second; defaults to the paper's testbed base clock. */
     explicit SimClock(std::uint64_t hz = 3'600'000'000ull) : hz_(hz) {}
 
-    /** Relaxed atomic accumulation: cycle charges commute, so the total
-     *  is deterministic for a deterministic workload even when worker
-     *  threads charge concurrently in `--threads N` mode. */
-    void advance(std::uint64_t cycles)
-    {
-        cycles_.fetch_add(cycles, std::memory_order_relaxed);
-    }
+    void advance(std::uint64_t cycles) { cycles_ += cycles; }
 
-    std::uint64_t cycles() const
-    {
-        return cycles_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t cycles() const { return cycles_; }
     std::uint64_t frequencyHz() const { return hz_; }
 
     double seconds() const { return double(cycles()) / double(hz_); }
@@ -42,10 +32,10 @@ class SimClock {
         return double(cycles) / double(hz_) * 1e6;
     }
 
-    void reset() { cycles_.store(0, std::memory_order_relaxed); }
+    void reset() { cycles_ = 0; }
 
   private:
-    std::atomic<std::uint64_t> cycles_{0};
+    std::uint64_t cycles_ = 0;
     std::uint64_t hz_;
 };
 

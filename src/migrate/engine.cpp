@@ -42,10 +42,9 @@ MigrationEngine::migrateToGateway(serve::TenantService& svc,
     ++stats_.attempts;
     const std::uint64_t begin = machine.clock().cycles();
 
-    // Own the tenant for the whole move, exactly like a worker owns it
-    // for a batch: the pressure manager's try_lock skips us, and no
-    // batch can enter the source mid-export.
-    std::lock_guard<std::mutex> own(tenant->m);
+    // Hold the tenant for the whole move, exactly like the pool holds
+    // it for a batch: the pressure manager never pages it out mid-export.
+    serve::TenantHold hold(*tenant);
     if (!tenant->inner) return abort(Err::Unavailable);  // quarantined
 
     // The source's parked poller holds inner TCSes; unpark before the
@@ -68,7 +67,7 @@ MigrationEngine::migrateToGateway(serve::TenantService& svc,
     if (!sealed) return abort(sealed.status());
 
     // EWB-drain the source: the move leaves nothing resident behind.
-    stats_.pagesDrained += registry.drainTenantLocked(*tenant);
+    stats_.pagesDrained += registry.drainTenant(*tenant);
 
     auto ticket = registry.stageRelocation(*tenant, targetGateway);
     if (!ticket) return abort(ticket.status());
@@ -138,7 +137,7 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     sgx::Measurement signer{};
     Result<Bytes> rewrapped = Err::Unavailable;
     {
-        std::lock_guard<std::mutex> own(srcTenant->m);
+        serve::TenantHold hold(*srcTenant);
         if (!srcTenant->inner) {
             (void)dst.removeTenant(id);
             return abort(Err::Unavailable);
@@ -160,7 +159,7 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
             (void)dst.removeTenant(id);
             return abort(sealed.status());
         }
-        stats_.pagesDrained += srcReg.drainTenantLocked(*srcTenant);
+        stats_.pagesDrained += srcReg.drainTenant(*srcTenant);
 
         // Re-wrap between root-of-trust domains: the engine stands in
         // for the mutually-attested migration service both machines
@@ -201,12 +200,8 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     // source placement get a WrongEpoch redirect and re-resolve. The
     // incarnation carries over unchanged — session state survived, so
     // clients must NOT reset their seal/replay bookkeeping.
-    dstTenant.value()->epoch.store(
-        srcTenant->epoch.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-    dstTenant.value()->incarnation.store(
-        srcTenant->incarnation.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    dstTenant.value()->epoch = srcTenant->epoch + 1;
+    dstTenant.value()->incarnation = srcTenant->incarnation;
 
     // Committed: carry the source's queued requests across (same key,
     // same still-unconsumed sequence numbers), then retire the source.

@@ -41,7 +41,6 @@ Kernel::Kernel(sgx::Machine& machine) : machine_(machine)
 Pid
 Kernel::createProcess()
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     Pid pid = Pid(processes_.size());
     processes_.push_back(std::make_unique<Process>(pid));
     return pid;
@@ -50,14 +49,12 @@ Kernel::createProcess()
 Process&
 Kernel::process(Pid pid)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     return *processes_.at(pid);
 }
 
 void
 Kernel::schedule(hw::CoreId core, Pid pid)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     publishOs(machine_, trace::EventKind::OsSchedule, core, pid);
     machine_.core(core).setPageTable(&process(pid).pageTable());
     // A context switch flushes the core's TLB.
@@ -67,7 +64,6 @@ Kernel::schedule(hw::CoreId core, Pid pid)
 Result<hw::Paddr>
 Kernel::allocFrame()
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto& mem = machine_.mem();
     // Bump allocation, hopping over the PRM window.
     while (true) {
@@ -85,7 +81,6 @@ Kernel::allocFrame()
 hw::Vaddr
 Kernel::mapUntrusted(Pid pid, std::uint64_t pages)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     Process& proc = process(pid);
     hw::Vaddr base = proc.reserveUntrusted(pages);
     for (std::uint64_t i = 0; i < pages; ++i) {
@@ -99,7 +94,6 @@ Kernel::mapUntrusted(Pid pid, std::uint64_t pages)
 Result<hw::Paddr>
 Kernel::allocEpcPage()
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     // Injected allocation failure: the driver's allocator refuses even
     // though frames may be free — ECREATE/EADD/ELDU callers must cope
     // (createEnclave, addPage, reloadPage all unwind through here).
@@ -115,7 +109,6 @@ Kernel::allocEpcPage()
 void
 Kernel::freeEpcPage(hw::Paddr pa)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     epcFreeList_.push_back(pa);
 }
 
@@ -123,7 +116,6 @@ Result<hw::Paddr>
 Kernel::createEnclave(Pid pid, hw::Vaddr base, std::uint64_t size,
                       std::uint64_t attributes)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto secsPage = allocEpcPage();
     if (!secsPage) return secsPage.status();
     Status st = machine_.ecreate(secsPage.value(), base, size, attributes);
@@ -144,7 +136,6 @@ Status
 Kernel::addPage(hw::Paddr secsPage, hw::Vaddr vaddr, sgx::PageType type,
                 sgx::PagePerms perms, ByteView content)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = enclaves_.find(secsPage);
     if (it == enclaves_.end()) return Err::OsError;
 
@@ -187,7 +178,6 @@ Kernel::initEnclave(hw::Paddr secsPage, const sgx::SigStruct& sig)
 Status
 Kernel::associate(hw::Paddr innerSecs, hw::Paddr outerSecs)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto innerIt = enclaves_.find(innerSecs);
     auto outerIt = enclaves_.find(outerSecs);
     if (innerIt == enclaves_.end() || outerIt == enclaves_.end()) {
@@ -201,7 +191,6 @@ Kernel::associate(hw::Paddr innerSecs, hw::Paddr outerSecs)
 Status
 Kernel::destroyEnclave(hw::Paddr secsPage)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = enclaves_.find(secsPage);
     if (it == enclaves_.end()) return Err::OsError;
     publishOs(machine_, trace::EventKind::OsDestroyBegin, secsPage);
@@ -274,7 +263,6 @@ Kernel::destroyEnclave(hw::Paddr secsPage)
 Status
 Kernel::evictPage(hw::Paddr secsPage, hw::Vaddr vaddr)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = enclaves_.find(secsPage);
     if (it == enclaves_.end()) return Err::OsError;
     auto pageIt = it->second.pages.find(vaddr);
@@ -316,7 +304,6 @@ Kernel::evictPage(hw::Paddr secsPage, hw::Vaddr vaddr)
 Status
 Kernel::reloadPage(hw::Paddr secsPage, hw::Vaddr vaddr)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = enclaves_.find(secsPage);
     if (it == enclaves_.end()) return Err::OsError;
     auto blobIt = it->second.evicted.find(vaddr);
@@ -344,7 +331,6 @@ Kernel::reloadPage(hw::Paddr secsPage, hw::Vaddr vaddr)
 const EnclaveRecord*
 Kernel::enclaveRecord(hw::Paddr secsPage) const
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = enclaves_.find(secsPage);
     return it == enclaves_.end() ? nullptr : &it->second;
 }
@@ -352,7 +338,6 @@ Kernel::enclaveRecord(hw::Paddr secsPage) const
 void
 Kernel::touchEnclave(hw::Paddr secsPage)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = enclaves_.find(secsPage);
     if (it == enclaves_.end()) return;
     it->second.lastUseTick = ++useTick_;
@@ -361,7 +346,6 @@ Kernel::touchEnclave(hw::Paddr secsPage)
 std::vector<hw::Paddr>
 Kernel::evictionCandidates() const
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     std::vector<const EnclaveRecord*> recs;
     recs.reserve(enclaves_.size());
     for (const auto& [secs, rec] : enclaves_) {
@@ -386,7 +370,6 @@ Kernel::evictionCandidates() const
 Result<hw::Paddr>
 Kernel::pickEvictVictim(const std::function<bool(hw::Paddr)>& eligible)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     for (hw::Paddr secs : evictionCandidates()) {
         if (eligible && !eligible(secs)) continue;
         machine_.trace().publishLight(trace::EventKind::OsVictimPick,
@@ -401,14 +384,12 @@ void
 Kernel::hostileRemap(Pid pid, hw::Vaddr va, hw::Paddr pa, bool writable,
                      bool executable)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     process(pid).pageTable().map(va, pa, writable, executable);
 }
 
 void
 Kernel::hostileUnmap(Pid pid, hw::Vaddr va)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     process(pid).pageTable().unmap(va);
 }
 

@@ -10,7 +10,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "os/process.h"
@@ -113,11 +112,7 @@ class Kernel {
         const std::function<bool(hw::Paddr)>& eligible = nullptr);
 
     /** Free EPC pages remaining. */
-    std::size_t freeEpcPages() const
-    {
-        std::lock_guard<std::recursive_mutex> g(m_);
-        return epcFreeList_.size();
-    }
+    std::size_t freeEpcPages() const { return epcFreeList_.size(); }
 
     /** Free-list contents (orderliness-checker accounting oracle). */
     const std::vector<hw::Paddr>& epcFreeList() const { return epcFreeList_; }
@@ -150,18 +145,6 @@ class Kernel {
     Result<hw::Paddr> allocEpcPage();
     void freeEpcPage(hw::Paddr pa);
 
-    /**
-     * One driver-wide lock, exactly like the real SGX driver's enclave
-     * mutex: every ioctl-surface method locks it for the duration,
-     * including while the wrapped ENCLS leaves run (the machine never
-     * calls back into the kernel, so the order kernel -> machine state
-     * lock can never invert). Recursive because convenience entry points
-     * (mapUntrusted, pickEvictVictim) call other public methods.
-     *
-     * The accessors returning references into the tables (epcFreeList,
-     * enclaveTable, process) remain single-thread-only oracle/setup API.
-     */
-    mutable std::recursive_mutex m_;
     sgx::Machine& machine_;
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<hw::Paddr> epcFreeList_;

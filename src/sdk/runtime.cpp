@@ -285,7 +285,6 @@ Urts::nextBase(std::uint64_t sizeBytes)
 Result<LoadedEnclave*>
 Urts::load(const SignedEnclave& image)
 {
-    std::lock_guard<std::mutex> g(structM_);
     auto enclave = std::make_unique<LoadedEnclave>();
     enclave->image_ = image;
     enclave->base_ = nextBase(image.sizeBytes);
@@ -333,7 +332,6 @@ Urts::load(const SignedEnclave& image)
 Status
 Urts::unload(LoadedEnclave* enclave)
 {
-    std::lock_guard<std::mutex> g(structM_);
     Status st = kernel_.destroyEnclave(enclave->secsPage_);
     if (kernel_.enclaveRecord(enclave->secsPage_) != nullptr) {
         // The enclave survived (pages genuinely busy): the handle stays
@@ -367,7 +365,6 @@ Urts::unload(LoadedEnclave* enclave)
 Status
 Urts::associate(LoadedEnclave* inner, LoadedEnclave* outer)
 {
-    std::lock_guard<std::mutex> g(structM_);
     Status st = kernel_.associate(inner->secsPage_, outer->secsPage_);
     if (!st) return st;
     if (!inner->outer_) inner->outer_ = outer;  // primary
@@ -378,7 +375,6 @@ Urts::associate(LoadedEnclave* inner, LoadedEnclave* outer)
 LoadedEnclave*
 Urts::enclaveBySecs(hw::Paddr secsPage)
 {
-    std::lock_guard<std::mutex> g(structM_);
     for (const auto& enclave : enclaves_) {
         if (enclave->secsPage_ == secsPage) return enclave.get();
     }
@@ -489,7 +485,6 @@ Urts::ecallChain(const std::vector<LoadedEnclave*>& chain,
 std::vector<LoadedEnclave*>
 Urts::chainTo(LoadedEnclave* leaf)
 {
-    std::lock_guard<std::mutex> g(structM_);
     std::vector<LoadedEnclave*> chain;
     // Bounded by the loaded-enclave count: a corrupted association
     // graph (cycle) terminates instead of spinning.

@@ -16,7 +16,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -163,12 +162,10 @@ class TrustedEnv {
 class Urts {
   public:
     struct CallStats {
-        /** Relaxed atomics (support/counter.h): every worker thread's
-         *  dispatch path bumps these concurrently in threaded mode. */
-        Counter ecalls;
-        Counter ocalls;
-        Counter nEcalls;
-        Counter nOcalls;
+        Counter ecalls = 0;
+        Counter ocalls = 0;
+        Counter nEcalls = 0;
+        Counter nOcalls = 0;
         std::uint64_t totalCalls() const
         {
             return ecalls + ocalls + nEcalls + nOcalls;
@@ -247,7 +244,7 @@ class Urts {
     /**
      * First non-busy TCS of the enclave (GeneralProtection when every
      * thread slot is taken). Public so the switchless layer can park
-     * poller threads on real TCSes without going through an ecall.
+     * pollers on real TCSes without going through an ecall.
      */
     Result<hw::Paddr> idleTcs(LoadedEnclave& enclave);
 
@@ -261,16 +258,6 @@ class Urts {
     os::Kernel& kernel_;
     os::Pid pid_;
     std::map<std::string, UntrustedFn> ocalls_;
-    /**
-     * Guards the loaded-enclave table (and the ELRANGE base allocator):
-     * worker threads rebuild poisoned tenants — load/unload/associate —
-     * while others dispatch. The dispatch path itself never takes this
-     * lock; it works through the LoadedEnclave* it already holds, and
-     * the serve layer's per-tenant ownership locks guarantee nobody
-     * unloads an enclave that is mid-call. `ocalls_` stays setup-phase
-     * single-threaded, like the spec builders.
-     */
-    mutable std::mutex structM_;
     std::vector<std::unique_ptr<LoadedEnclave>> enclaves_;
     hw::Vaddr nextEnclaveBase_ = 0x7000'0000'0000ull;
     CallStats stats_;

@@ -5,7 +5,6 @@ namespace nesgx::serve {
 Status
 AdmissionController::submit(TenantId tenant, Bytes sealed)
 {
-    std::lock_guard<std::mutex> g(m_);
     std::deque<Request>& queue = queues_[tenant];
     if (queue.size() >= config_.maxQueueDepth) {
         ++rejected_;
@@ -16,11 +15,16 @@ AdmissionController::submit(TenantId tenant, Bytes sealed)
     req.tenant = tenant;
     req.enqueuedAt = machine_->clock().cycles();
     if (config_.deadlineCycles > 0) {
-        req.deadline = req.enqueuedAt + config_.deadlineCycles;
+        // Saturate: a deadline past the end of the clock never sheds,
+        // it must not wrap into the past and shed everything.
+        req.deadline =
+            config_.deadlineCycles > UINT64_MAX - req.enqueuedAt
+                ? UINT64_MAX
+                : req.enqueuedAt + config_.deadlineCycles;
     }
     req.sealed = std::move(sealed);
     queue.push_back(std::move(req));
-    totalQueued_.fetch_add(1, std::memory_order_relaxed);
+    ++totalQueued_;
     ++submitted_;
     machine_->trace().publishLight(trace::EventKind::ServeEnqueue,
                                    trace::kNoCore, 0, tenant, queue.size());
@@ -32,7 +36,6 @@ AdmissionController::takeBatch(TenantId tenant, std::size_t max,
                                std::vector<Request>* shedOut)
 {
     std::vector<Request> out;
-    std::lock_guard<std::mutex> g(m_);
     auto it = queues_.find(tenant);
     if (it == queues_.end()) return out;
     std::deque<Request>& queue = it->second;
@@ -53,7 +56,7 @@ AdmissionController::takeBatch(TenantId tenant, std::size_t max,
             out.push_back(std::move(head));
         }
         queue.pop_front();
-        totalQueued_.fetch_sub(1, std::memory_order_relaxed);
+        --totalQueued_;
     }
     return out;
 }
@@ -62,12 +65,11 @@ std::vector<Request>
 AdmissionController::purge(TenantId tenant)
 {
     std::vector<Request> out;
-    std::lock_guard<std::mutex> g(m_);
     auto it = queues_.find(tenant);
     if (it == queues_.end()) return out;
     out.reserve(it->second.size());
     for (Request& r : it->second) out.push_back(std::move(r));
-    totalQueued_.fetch_sub(it->second.size(), std::memory_order_relaxed);
+    totalQueued_ -= it->second.size();
     it->second.clear();
     return out;
 }
@@ -76,7 +78,6 @@ std::optional<TenantId>
 AdmissionController::nextTenant()
 {
     if (totalQueued() == 0) return std::nullopt;
-    std::lock_guard<std::mutex> g(m_);
     // Start scanning just past the previously served tenant, wrapping.
     auto start = haveLast_ ? queues_.upper_bound(lastTenant_)
                            : queues_.begin();
@@ -100,7 +101,6 @@ AdmissionController::nextTenant()
 std::size_t
 AdmissionController::depth(TenantId tenant) const
 {
-    std::lock_guard<std::mutex> g(m_);
     auto it = queues_.find(tenant);
     return it == queues_.end() ? 0 : it->second.size();
 }

@@ -10,11 +10,9 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 
 #include "serve/protocol.h"
@@ -63,10 +61,7 @@ class AdmissionController {
     std::vector<Request> purge(TenantId tenant);
 
     std::size_t depth(TenantId tenant) const;
-    std::size_t totalQueued() const
-    {
-        return totalQueued_.load(std::memory_order_relaxed);
-    }
+    std::size_t totalQueued() const { return totalQueued_; }
 
     std::uint64_t submitted() const { return submitted_; }
     std::uint64_t rejected() const { return rejected_; }
@@ -75,19 +70,14 @@ class AdmissionController {
   private:
     sgx::Machine* machine_;
     Config config_;
-    /** One coarse lock over the queue map and cursor: queue ops are
-     *  microseconds next to a batched enclave dispatch, so worker
-     *  threads contend here far less than they work. Leaf-level — held
-     *  across nothing but the map and the trace publish. */
-    mutable std::mutex m_;
     std::map<TenantId, std::deque<Request>> queues_;
     TenantId lastTenant_ = 0;
     bool haveLast_ = false;
-    std::atomic<std::size_t> totalQueued_{0};
+    std::size_t totalQueued_ = 0;
     std::uint64_t nextId_ = 1;
-    Counter submitted_;
-    Counter rejected_;
-    Counter shed_;
+    Counter submitted_ = 0;
+    Counter rejected_ = 0;
+    Counter shed_ = 0;
 };
 
 }  // namespace nesgx::serve

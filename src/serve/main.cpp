@@ -37,7 +37,7 @@ using namespace nesgx;
 const char* kUsage =
     "usage: nesgx_serve [--tenants N] [--requests N] [--batch N]\n"
     "                   [--epc-pages N] [--deadline CYCLES]\n"
-    "                   [--queue-depth N] [--threads N]\n"
+    "                   [--queue-depth N]\n"
     "                   [--topology flat|cvm] [--switchless 1]\n"
     "                   [--chrome-trace PATH] [--faults SPEC]\n"
     "                   [--fault-seed N] [--chaos SEED] [--attest 0|1]\n"
@@ -89,7 +89,6 @@ main(int argc, char** argv)
     s.deadline = flags.u64("deadline", s.deadline);
     s.queueDepth = flags.u64("queue-depth", s.queueDepth);
     s.switchless = flags.toggle("switchless", s.switchless);
-    s.threads = flags.u64("threads", s.threads);
     s.chromeTrace = flags.str("chrome-trace", s.chromeTrace);
     s.attest = flags.toggle("attest", s.attest);
     s.attestExpectDepth =

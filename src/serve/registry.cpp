@@ -1,6 +1,7 @@
 #include "serve/registry.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "attest/verifier.h"
 #include "crypto/sha256.h"
@@ -232,6 +233,27 @@ TenantRegistry::gatewayWithRoom()
     return gateways_.size() - 1;
 }
 
+std::optional<std::uint32_t>
+TenantRegistry::freeSlot(std::size_t gatewayIndex) const
+{
+    const std::vector<sdk::LoadedEnclave*>& slots =
+        gateways_[gatewayIndex].state->slots;
+    std::vector<bool> taken(slots.size());
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+        taken[s] = slots[s] != nullptr;
+    }
+    for (const auto& [id, tenant] : tenants_) {
+        if (tenant->gatewayIndex == gatewayIndex &&
+            tenant->slot < taken.size()) {
+            taken[tenant->slot] = true;
+        }
+    }
+    for (std::uint32_t s = 0; s < taken.size(); ++s) {
+        if (!taken[s]) return s;
+    }
+    return std::nullopt;
+}
+
 Result<sdk::LoadedEnclave*>
 TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
 {
@@ -387,6 +409,10 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     auto gwIndex = gatewayWithRoom();
     if (!gwIndex) return gwIndex.status();
     Gateway& gateway = gateways_[gwIndex.value()];
+    // First free slot: retirements and relocations leave holes, so the
+    // fill index is not simply the tenant count.
+    const std::optional<std::uint32_t> slot = freeSlot(gwIndex.value());
+    if (!slot) return Err::Backpressure;
 
     auto inner = buildInner(id, workload, gateway);
     if (!inner) return inner.status();
@@ -396,14 +422,7 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     tenant->workload = workload;
     tenant->inner = inner.value();
     tenant->gatewayIndex = gwIndex.value();
-    // First free slot: retirements and relocations leave holes, so the
-    // fill index is not simply the tenant count.
-    std::uint32_t slot = 0;
-    while (slot < gateway.state->slots.size() &&
-           gateway.state->slots[slot] != nullptr) {
-        ++slot;
-    }
-    tenant->slot = slot;
+    tenant->slot = *slot;
     gateway.state->slots[tenant->slot] = inner.value();
     ++gateway.tenantCount;
 
@@ -415,14 +434,12 @@ TenantRegistry::ensure(TenantId id, Workload workload)
 void
 TenantRegistry::crashGateway(std::size_t index)
 {
-    std::lock_guard<std::mutex> g(healthM_);
     crashedGateways_.insert(index);
 }
 
 bool
 TenantRegistry::gatewayCrashed(std::size_t index) const
 {
-    std::lock_guard<std::mutex> g(healthM_);
     return crashedGateways_.count(index) != 0;
 }
 
@@ -523,29 +540,14 @@ TenantRegistry::ensureResident(TenantHandle& tenant)
 std::uint64_t
 TenantRegistry::evictTenant(TenantHandle& tenant)
 {
-    // Never page out a tenant another worker thread is mid-batch in:
-    // its owner holds `m` for the whole attempt. A contended victim is
-    // reported as barren (0 pages) and the pressure loop moves on.
-    std::unique_lock<std::mutex> own(tenant.m, std::try_to_lock);
-    if (!own.owns_lock()) return 0;
-    if (!tenant.inner) return 0;
-    os::Kernel& kernel = urts_->kernel();
-    const os::EnclaveRecord* rec =
-        kernel.enclaveRecord(tenant.inner->secsPage());
-    if (!rec) return 0;
-
-    std::vector<hw::Vaddr> vas;
-    vas.reserve(rec->pages.size());
-    for (const auto& [va, pa] : rec->pages) vas.push_back(va);
-
-    std::uint64_t written = 0;
-    for (hw::Vaddr va : vas) {
-        // TCS pages refuse EBLOCK; everything evictable goes out.
-        if (kernel.evictPage(tenant.inner->secsPage(), va)) ++written;
-    }
+    // Never page out a tenant that is mid-batch, mid-rebuild or
+    // mid-move: a held victim is reported as barren (0 pages) and the
+    // pressure loop moves on.
+    if (tenant.held) return 0;
+    const std::uint64_t written = drainTenant(tenant);
     if (written > 0) {
         ++tenant.evictions;
-        kernel.machine().trace().publishLight(
+        urts_->machine().trace().publishLight(
             trace::EventKind::ServeTenantEvict, trace::kNoCore, 0, tenant.id,
             written);
     }
@@ -558,17 +560,11 @@ TenantRegistry::rebuildTenant(TenantHandle& tenant)
     Gateway& gateway = gateways_[tenant.gatewayIndex];
     if (!gateway.outer) {
         // A failed subtree rebuild left the gateway layer missing; the
-        // tenant cannot come back without it. Double-checked under the
-        // rebuild lock: a sibling's self-heal may already have restored
-        // it, and two concurrent makeGateway calls would orphan one
-        // gateway enclave (unevictable pages — eventual EPC exhaustion).
-        std::lock_guard<std::mutex> g(gatewayRebuildM_);
-        if (!gateway.outer) {
-            auto rebuilt = makeGateway(tenant.gatewayIndex);
-            if (!rebuilt) return rebuilt.status();
-            gateway.outer = rebuilt.value().outer;
-            gateway.state = std::move(rebuilt.value().state);
-        }
+        // tenant cannot come back without it.
+        auto rebuilt = makeGateway(tenant.gatewayIndex);
+        if (!rebuilt) return rebuilt.status();
+        gateway.outer = rebuilt.value().outer;
+        gateway.state = std::move(rebuilt.value().state);
     }
     if (tenant.inner) {
         // Detach from the gateway first so a failed unload cannot leave
@@ -603,8 +599,8 @@ TenantRegistry::rebuildTenant(TenantHandle& tenant)
     ++tenant.rebuilds;
     // In-enclave state was lost: clients must re-resolve placement (new
     // epoch) and learn it is a fresh incarnation (reseal from scratch).
-    tenant.epoch.fetch_add(1, std::memory_order_relaxed);
-    tenant.incarnation.fetch_add(1, std::memory_order_relaxed);
+    ++tenant.epoch;
+    ++tenant.incarnation;
     urts_->machine().trace().publishLight(
         trace::EventKind::ServeTenantRebuild, trace::kNoCore, 0, tenant.id,
         tenant.rebuilds);
@@ -637,30 +633,21 @@ TenantRegistry::evictSubtree(std::size_t gatewayIndex)
 }
 
 Status
-TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
-                                      TenantHandle* alreadyLocked)
+TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex)
 {
     if (gatewayIndex >= gateways_.size()) return Err::NotFound;
     Gateway& gateway = gateways_[gatewayIndex];
 
-    // Own every tenant of the subtree for the whole teardown/rebuild so
-    // the pressure manager (which try_locks from evictTenant) can never
-    // page a half-dead enclave. The caller's own tenant is already held.
+    // Hold every tenant of the subtree for the whole teardown/rebuild
+    // so the pressure manager can never page a half-dead enclave.
     std::vector<TenantHandle*> members;
+    std::deque<TenantHold> holds;
     for (auto& [id, tenant] : tenants_) {
         if (tenant->gatewayIndex == gatewayIndex) {
             members.push_back(tenant.get());
+            holds.emplace_back(*tenant);
         }
     }
-    std::vector<std::unique_lock<std::mutex>> owned;
-    owned.reserve(members.size());
-    for (TenantHandle* tenant : members) {
-        if (tenant != alreadyLocked) owned.emplace_back(tenant->m);
-    }
-    // After the tenant mutexes (lock order: tenant before gateway):
-    // the gateway layer must not be torn down while a sibling's
-    // self-heal is mid-recreate on the same index.
-    std::lock_guard<std::mutex> gw(gatewayRebuildM_);
 
     // Leaves first: a gateway with live inner associations refuses
     // destruction.
@@ -713,8 +700,8 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
         tenant->inner = inner.value();
         gateway.state->slots[tenant->slot] = inner.value();
         ++tenant->rebuilds;
-        tenant->epoch.fetch_add(1, std::memory_order_relaxed);
-        tenant->incarnation.fetch_add(1, std::memory_order_relaxed);
+        ++tenant->epoch;
+        ++tenant->incarnation;
         urts_->machine().trace().publishLight(
             trace::EventKind::ServeTenantRebuild, trace::kNoCore, 0,
             tenant->id, tenant->rebuilds);
@@ -722,7 +709,6 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
     if (result.isOk()) {
         // The subtree is whole again: a crashed marker on this gateway
         // has been healed by the rebuild.
-        std::lock_guard<std::mutex> g(healthM_);
         crashedGateways_.erase(gatewayIndex);
     }
     return result;
@@ -772,7 +758,7 @@ TenantRegistry::importInner(sdk::LoadedEnclave* inner,
 }
 
 std::uint64_t
-TenantRegistry::drainTenantLocked(TenantHandle& tenant)
+TenantRegistry::drainTenant(TenantHandle& tenant)
 {
     if (!tenant.inner) return 0;
     os::Kernel& kernel = urts_->kernel();
@@ -784,6 +770,7 @@ TenantRegistry::drainTenantLocked(TenantHandle& tenant)
     for (const auto& [va, pa] : rec->pages) vas.push_back(va);
     std::uint64_t written = 0;
     for (hw::Vaddr va : vas) {
+        // TCS pages refuse EBLOCK; everything evictable goes out.
         if (kernel.evictPage(tenant.inner->secsPage(), va)) ++written;
     }
     return written;
@@ -817,23 +804,19 @@ TenantRegistry::stageRelocation(TenantHandle& tenant,
     if (!gateway.outer || gateway.tenantCount >= config_.tenantsPerOuter) {
         return Err::Backpressure;
     }
-    std::uint32_t slot = 0;
-    while (slot < gateway.state->slots.size() &&
-           gateway.state->slots[slot] != nullptr) {
-        ++slot;
-    }
-    if (slot >= gateway.state->slots.size()) return Err::Backpressure;
+    const std::optional<std::uint32_t> slot = freeSlot(targetGateway);
+    if (!slot) return Err::Backpressure;
 
     auto inner = buildInner(tenant.id, tenant.workload, gateway);
     if (!inner) return inner.status();  // source untouched, still serving
 
     RelocationTicket ticket;
     ticket.gatewayIndex = targetGateway;
-    ticket.slot = slot;
+    ticket.slot = *slot;
     ticket.inner = inner.value();
-    // Claim the slot now so a concurrent ensure() cannot take it; the
-    // ticket is either committed or abandoned before dispatches see it.
-    gateway.state->slots[slot] = inner.value();
+    // Claim the slot now so a later ensure() cannot take it; the ticket
+    // is either committed or abandoned before dispatches see it.
+    gateway.state->slots[*slot] = inner.value();
     ++gateway.tenantCount;
     return ticket;
 }
@@ -872,7 +855,7 @@ TenantRegistry::commitRelocation(TenantHandle& tenant,
     ++tenant.migrations;
     // Placement changed but the session survived the move: new epoch,
     // same incarnation (clients keep their key and sequence counter).
-    tenant.epoch.fetch_add(1, std::memory_order_relaxed);
+    ++tenant.epoch;
     urts_->machine().trace().publishLight(
         trace::EventKind::ServeTenantMigrate, trace::kNoCore, 0, tenant.id,
         0);
@@ -885,22 +868,18 @@ TenantRegistry::retireTenant(TenantId id)
     auto it = tenants_.find(id);
     if (it == tenants_.end()) return Err::NotFound;
     TenantHandle* tenant = it->second.get();
-    {
-        // Scoped: the handle (and its mutex) dies with the map entry.
-        std::lock_guard<std::mutex> own(tenant->m);
-        if (tenant->inner) {
-            Gateway& gateway = gateways_[tenant->gatewayIndex];
-            sdk::LoadedEnclave* old = tenant->inner;
-            gateway.state->slots[tenant->slot] = nullptr;
-            tenant->inner = nullptr;
-            Status st = urts_->unload(old);
-            if (!st) {
-                tenant->inner = old;
-                gateway.state->slots[tenant->slot] = old;
-                return st;
-            }
-            --gateway.tenantCount;
+    if (tenant->inner) {
+        Gateway& gateway = gateways_[tenant->gatewayIndex];
+        sdk::LoadedEnclave* old = tenant->inner;
+        gateway.state->slots[tenant->slot] = nullptr;
+        tenant->inner = nullptr;
+        Status st = urts_->unload(old);
+        if (!st) {
+            tenant->inner = old;
+            gateway.state->slots[tenant->slot] = old;
+            return st;
         }
+        --gateway.tenantCount;
     }
     tenants_.erase(it);
     return Status::ok();

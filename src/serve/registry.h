@@ -24,11 +24,10 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -59,17 +58,16 @@ struct TenantHandle {
     std::size_t gatewayIndex = 0;
     std::uint32_t slot = 0;  ///< slot within the gateway
     /**
-     * Ownership lock for threaded serving. The worker thread that owns
-     * this tenant (gatewayIndex % threads) holds it across the whole
-     * batch attempt — residency, dispatch, rebuild — while the pressure
-     * manager only ever try_locks it from `evictTenant` and skips a
-     * contended victim. try_lock is what makes the cross-thread order
-     * (own tenant held -> victim tenant tried) deadlock-free.
+     * The tenant is being served, rebuilt or migrated (set by a
+     * TenantHold for the whole batch attempt, rebuild or move).
+     * `evictTenant` reports a held tenant as barren (0 pages) so the
+     * pressure manager never pages out an enclave mid-operation; the
+     * victim choice itself still sees it (unlike `busy`).
      */
-    std::mutex m;
-    /** A dispatch is in flight. Read lock-free by the eviction victim
-     *  filter on other worker threads; `m` is the real exclusion. */
-    std::atomic<bool> busy{false};
+    bool held = false;
+    /** A dispatch or reload is in flight: the eviction victim filter
+     *  skips the tenant entirely. */
+    bool busy = false;
     /** The inner holds an EGETKEY-rooted session key (installed by a
      *  provisioning ecall); rebuilds must re-run provisioning so the
      *  fresh instance re-derives the same key the client still holds. */
@@ -77,23 +75,42 @@ struct TenantHandle {
     /** Onboarding attestation passed (service layer sets this; dispatch
      *  refuses unverified tenants when Config::requireVerification). */
     bool verified = false;
-    Counter evictions;  ///< times paged out by pressure
-    Counter reloads;    ///< cold-start reloads
-    Counter rebuilds;   ///< destroy-and-rebuild recoveries
-    Counter migrations; ///< live relocations (gateway or host moves)
+    Counter evictions = 0;  ///< times paged out by pressure
+    Counter reloads = 0;    ///< cold-start reloads
+    Counter rebuilds = 0;   ///< destroy-and-rebuild recoveries
+    Counter migrations = 0; ///< live relocations (gateway or host moves)
     /**
      * Placement epoch: monotonically bumped by every rebuild, subtree
      * rebuild and committed relocation. Epoch-fenced submits compare a
      * client's stamped epoch against this and refuse stale ones with
      * Err::WrongEpoch, so a client can never silently talk past a move.
      */
-    std::atomic<std::uint64_t> epoch{1};
+    std::uint64_t epoch = 1;
     /** Incarnation: bumps only when in-enclave state was lost (tenant or
      *  subtree rebuild), never on a live relocation — re-resolving
      *  clients use it to decide whether to reseal from scratch. */
-    std::atomic<std::uint64_t> incarnation{1};
-    Counter okServed;   ///< verified-ok completions (supervisor heartbeat)
-    Counter wrongEpochs; ///< stale-epoch submits refused
+    std::uint64_t incarnation = 1;
+    Counter okServed = 0;   ///< verified-ok completions (supervisor heartbeat)
+    Counter wrongEpochs = 0; ///< stale-epoch submits refused
+};
+
+/** Holds a tenant (TenantHandle::held) for the guard's lifetime and
+ *  restores the previous state, so nested holds compose. */
+class TenantHold {
+  public:
+    explicit TenantHold(TenantHandle& tenant)
+        : tenant_(tenant), wasHeld_(tenant.held)
+    {
+        tenant.held = true;
+    }
+    ~TenantHold() { tenant_.held = wasHeld_; }
+
+    TenantHold(const TenantHold&) = delete;
+    TenantHold& operator=(const TenantHold&) = delete;
+
+  private:
+    TenantHandle& tenant_;
+    bool wasHeld_;
 };
 
 class TenantRegistry {
@@ -106,8 +123,8 @@ class TenantRegistry {
         /** Outer (gateway) enclave shape. */
         std::uint64_t outerCodePages = 24;
         std::uint64_t outerHeapPages = 48;
-        /** Thread slots per enclave. The switchless layer parks poller
-         *  threads on real TCSes — one per gateway poller plus one per
+        /** Thread slots per enclave. The switchless layer parks its
+         *  pollers on real TCSes — one per gateway poller plus one per
          *  tenant poller entering through the gateway — so it needs
          *  headroom beyond the classic one-dispatch-at-a-time shape. */
         std::uint32_t gatewayTcs = 2;
@@ -116,10 +133,10 @@ class TenantRegistry {
          *  gateways (see Topology). */
         Topology topology = Topology::Flat;
         /** CVM root enclave shape (Cvm topology only). The TCS pool must
-         *  cover every concurrent entry into the tree: one per worker
-         *  thread plus — under switchless — one per parked poller
-         *  (root + per-gateway + per-tenant), so callers size it to
-         *  roughly tenants + gateways + threads + spare. */
+         *  cover every concurrent entry into the tree: the dispatching
+         *  core plus — under switchless — one per parked poller (root +
+         *  per-gateway + per-tenant), so callers size it to roughly
+         *  tenants + gateways + spare. */
         std::uint64_t cvmCodePages = 24;
         std::uint64_t cvmHeapPages = 64;
         std::uint32_t cvmTcs = 4;
@@ -156,7 +173,8 @@ class TenantRegistry {
     Result<std::uint64_t> ensureResident(TenantHandle& tenant);
 
     /** Pages the tenant's inner out (best effort: TCS/pinned pages are
-     *  skipped). Returns pages actually written back. */
+     *  skipped). Returns pages actually written back; 0 for a held
+     *  tenant. */
     std::uint64_t evictTenant(TenantHandle& tenant);
 
     /** Destroys a poisoned tenant's inner and builds a fresh one into
@@ -182,14 +200,12 @@ class TenantRegistry {
      * the casualty — every tenant of the subtree loses its in-enclave
      * state exactly as rebuildTenant would lose one.
      *
-     * `alreadyLocked` names a tenant whose `m` the caller holds (the
-     * worker mid-batch); every other tenant of the subtree is locked
-     * here so the pressure manager cannot evict a half-dead enclave.
-     * On partial failure affected tenants are left inner-less and are
-     * retried lazily, same contract as rebuildTenant.
+     * Every tenant of the subtree is held for the whole rebuild so the
+     * pressure manager cannot evict a half-dead enclave. On partial
+     * failure affected tenants are left inner-less and are retried
+     * lazily, same contract as rebuildTenant.
      */
-    Status rebuildGatewaySubtree(std::size_t gatewayIndex,
-                                 TenantHandle* alreadyLocked = nullptr);
+    Status rebuildGatewaySubtree(std::size_t gatewayIndex);
 
     // --- trust path / migration (registry side) --------------------------
 
@@ -219,9 +235,9 @@ class TenantRegistry {
     Status importInner(sdk::LoadedEnclave* inner,
                        const sgx::Measurement& srcMr, ByteView sealed);
 
-    /** EWB-drains the tenant's inner pages (caller holds `tenant.m`).
-     *  Returns pages written back. */
-    std::uint64_t drainTenantLocked(TenantHandle& tenant);
+    /** EWB-drains the tenant's inner pages, held or not (the migration
+     *  engine drains the tenant it holds). Returns pages written back. */
+    std::uint64_t drainTenant(TenantHandle& tenant);
 
     /** A staged-but-uncommitted destination instance of a relocation. */
     struct RelocationTicket {
@@ -267,14 +283,8 @@ class TenantRegistry {
     /** Marks the whole host degraded: the data plane refuses while the
      *  control plane (provision/export/import/rebuild) keeps working, so
      *  a supervisor can still evacuate tenants off the dying host. */
-    void setDegraded(bool on)
-    {
-        degraded_.store(on, std::memory_order_relaxed);
-    }
-    bool degraded() const
-    {
-        return degraded_.load(std::memory_order_relaxed);
-    }
+    void setDegraded(bool on) { degraded_ = on; }
+    bool degraded() const { return degraded_; }
 
     std::size_t gatewayCount() const { return gateways_.size(); }
     std::size_t tenantCount() const { return tenants_.size(); }
@@ -320,6 +330,10 @@ class TenantRegistry {
 
     Status reserveEpc(std::uint64_t pages);
     Result<std::size_t> gatewayWithRoom();
+    /** First slot of the gateway that holds no inner (live or staged)
+     *  and that no tenant owns: an inner-less tenant awaiting rebuild
+     *  keeps its slot, and its rebuild writes the slot back. */
+    std::optional<std::uint32_t> freeSlot(std::size_t gatewayIndex) const;
     /** Builds (or rebuilds) the gateway enclave for `index` without
      *  touching the gateways_ vector; Cvm associates it under the root. */
     Result<Gateway> makeGateway(std::size_t index);
@@ -336,19 +350,8 @@ class TenantRegistry {
     sdk::LoadedEnclave* cvmRoot_ = nullptr;
     std::vector<Gateway> gateways_;
     std::map<TenantId, std::unique_ptr<TenantHandle>> tenants_;
-    /** Crash markers are read on every dispatch from every worker
-     *  thread; a small mutex keeps the set coherent (the hot path takes
-     *  it once per batch, not per request). */
-    mutable std::mutex healthM_;
-    /** Serializes gateway-layer reconstruction. Two workers self-healing
-     *  different tenants of the same downed gateway (each under its own
-     *  tenant mutex only) would otherwise both makeGateway and the
-     *  second assignment would orphan the first's enclave — pages the
-     *  pressure manager can never evict. Ordering: tenant mutexes are
-     *  always taken before this one, never after. */
-    std::mutex gatewayRebuildM_;
     std::set<std::size_t> crashedGateways_;
-    std::atomic<bool> degraded_{false};
+    bool degraded_ = false;
 };
 
 }  // namespace nesgx::serve

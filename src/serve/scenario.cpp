@@ -53,11 +53,6 @@ machineConfig(const Scenario& s)
         // Shrink the PRM so EPC pressure kicks in at small scale.
         mc.prmBytes = (s.epcPages + kPrmSlackPages) * hw::kPageSize;
     }
-    // One simulated core per worker thread, on top of whatever the
-    // switchless sizing already asked for.
-    if (s.threads > 1 && mc.coreCount < s.threads) {
-        mc.coreCount = std::uint32_t(s.threads);
-    }
     return mc;
 }
 
@@ -68,16 +63,16 @@ serviceConfig(const Scenario& s)
     sc.admission.maxQueueDepth = s.queueDepth;
     sc.admission.deadlineCycles = s.deadline;
     sc.pool.batchSize = s.batch;
-    sc.pool.threads = s.threads;
     sc.switchless.enabled = s.switchless;
     sc.switchless.hostCores = 2;
     if (s.cvm) {
         sc.registry.topology = Topology::Cvm;
         // The CVM root's TCS pool carries every concurrent entry into
-        // the tree: worker threads, and under switchless one parked
-        // poller per tenant/gateway plus the root's own.
+        // the tree: the dispatching core, and under switchless one
+        // parked poller per tenant/gateway plus the root's own, with
+        // spares.
         sc.registry.cvmTcs =
-            std::uint32_t(s.tenants + gatewayEstimate(s) + s.threads + 4);
+            std::uint32_t(s.tenants + gatewayEstimate(s) + 5);
         // Per-gateway ring pairs + staging live in the root's heap.
         sc.registry.cvmHeapPages = 64 + 8 * gatewayEstimate(s);
     }
@@ -132,7 +127,6 @@ Scenario::validate(std::string* why) const
     // end of DRAM.
     const Bound bounds[] = {
         {"--tenants", tenants, 1, kMaxScenarioTenants},
-        {"--threads", threads, 1, kMaxScenarioThreads},
         {"--requests", requests, 0, kMaxScenarioRequests},
         {"--batch", batch, 1, kMaxScenarioRequests},
         {"--epc-pages", epcPages, 0,
@@ -188,10 +182,6 @@ Scenario::run() const
         sink = std::make_unique<trace::ChromeTraceSink>(
             machine.clock().frequencyHz() / 1e6, false);
         machine.trace().subscribe(sink.get());
-        // Real worker threads publish concurrently: buffer per-shard and
-        // merge by global sequence. Serial runs never enter this mode,
-        // keeping --threads 1 trace output byte-identical.
-        if (threads > 1) machine.trace().enableParallel(threads);
     }
 
     // Declared before the service: teardown may still pass fault hooks.
@@ -257,14 +247,8 @@ Scenario::run() const
         supervisor->attachEngine(migrator);
     }
 
-    // The parallel pool drains its owned queues completely per call, so
-    // maxBatches only applies to the serial path.
     auto pumpAll = [&](std::size_t maxBatches) {
-        if (threads > 1) {
-            service.pumpParallel(threads);
-        } else {
-            service.pump(maxBatches);
-        }
+        service.pump(maxBatches);
         if (supervisor) supervisor->tick();
     };
 
@@ -416,11 +400,6 @@ Scenario::run() const
     }
 
     if (sink) {
-        // Parallel mode buffers events per shard; drain the merged,
-        // seq-ordered stream into the sink before detaching it.
-        if (machine.trace().parallelEnabled()) {
-            machine.trace().disableParallel();
-        }
         machine.trace().unsubscribe(sink.get());
         if (!sink->writeFile(chromeTrace)) {
             result.status = Err::OsError;

@@ -28,10 +28,9 @@
 
 namespace nesgx::serve {
 
-/** Upper bounds Scenario::validate enforces. Threads: one OS thread and
- *  one simulated core each. Tenants: the onboarding loop builds every
- *  one up front. Requests: a run must end in bounded time. */
-constexpr std::uint64_t kMaxScenarioThreads = 64;
+/** Upper bounds Scenario::validate enforces. Tenants: the onboarding
+ *  loop builds every one up front. Requests: a run must end in bounded
+ *  time. */
 constexpr std::uint64_t kMaxScenarioTenants = 1u << 16;
 constexpr std::uint64_t kMaxScenarioRequests = 1ull << 32;
 
@@ -85,7 +84,6 @@ struct Scenario {
     std::uint64_t epcPages = 0;    ///< 0 = ample EPC; else shrink the PRM
     std::uint64_t deadline = 0;    ///< relative cycles; 0 = no shedding
     std::uint64_t queueDepth = 64;
-    std::uint64_t threads = 1;     ///< real OS worker threads
     bool cvm = false;              ///< depth-3 CVM -> gateway -> tenant tree
     bool switchless = false;       ///< exit-less ring dispatch
     std::string chromeTrace;       ///< trace output path; empty = none
@@ -109,7 +107,7 @@ struct Scenario {
     std::string faultPlan() const;
 
     /** Err::InvalidConfig (with a reason in `why`) for a scenario that
-     *  cannot run: zero or too many tenants/threads/requests, an EPC
+     *  cannot run: zero or too many tenants/requests, an EPC
      *  larger than the PRM can hold, a migration period no request
      *  reaches, a malformed fault plan, or an invalid service config. */
     Status validate(std::string* why = nullptr) const;

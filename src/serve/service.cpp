@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 
 #include "support/logging.h"
 
@@ -82,23 +81,14 @@ WorkerPool::WorkerPool(TenantRegistry& registry,
 bool
 WorkerPool::breakerOpen(TenantId tenant) const
 {
-    std::lock_guard<std::mutex> g(breakersM_);
     auto it = breakers_.find(tenant);
     return it != breakers_.end() && it->second.open;
-}
-
-WorkerPool::Breaker&
-WorkerPool::breakerFor(TenantId tenant)
-{
-    std::lock_guard<std::mutex> g(breakersM_);
-    return breakers_[tenant];
 }
 
 void
 WorkerPool::failQueuedRebuilt(TenantId tenantId)
 {
     sgx::Machine& machine = registry_->urts().machine();
-    std::lock_guard<std::mutex> c(completionsM_);
     for (Request& r : admission_->purge(tenantId)) {
         Completion done;
         done.id = r.id;
@@ -138,16 +128,13 @@ WorkerPool::rebuildTenantNow(TenantHandle& tenant)
             if (engine_) engine_->disarm(id);
             failQueuedRebuilt(id);
         }
-        st = registry_->rebuildGatewaySubtree(tenant.gatewayIndex, &tenant);
+        st = registry_->rebuildGatewaySubtree(tenant.gatewayIndex);
         ++subtreeRebuilds_;
         machine.trace().publishLight(trace::EventKind::ServeTenantRebuild,
                                      trace::kNoCore, 0, tenant.id,
                                      tenant.gatewayIndex);
     }
-    {
-        std::lock_guard<std::mutex> h(rebuildM_);
-        rebuildLatency_.add(machine.clock().cycles() - begin);
-    }
+    rebuildLatency_.add(machine.clock().cycles() - begin);
     ++rebuilds_;
     return st;
 }
@@ -155,7 +142,7 @@ WorkerPool::rebuildTenantNow(TenantHandle& tenant)
 Status
 WorkerPool::rebuildTenant(TenantHandle& tenant)
 {
-    std::lock_guard<std::mutex> own(tenant.m);
+    TenantHold hold(tenant);
     return rebuildTenantNow(tenant);
 }
 
@@ -174,10 +161,7 @@ WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
     }
     Status st = registry_->rebuildGatewaySubtree(gatewayIndex);
     ++subtreeRebuilds_;
-    {
-        std::lock_guard<std::mutex> h(rebuildM_);
-        rebuildLatency_.add(machine.clock().cycles() - begin);
-    }
+    rebuildLatency_.add(machine.clock().cycles() - begin);
     return st;
 }
 
@@ -207,7 +191,7 @@ WorkerPool::step()
 {
     auto tenantId = admission_->nextTenant();
     if (!tenantId) return false;
-    processTenant(*tenantId, 0, false);
+    processTenant(*tenantId);
     return true;
 }
 
@@ -220,8 +204,7 @@ WorkerPool::pickCore()
 }
 
 void
-WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
-                          bool haveFixedCore)
+WorkerPool::processTenant(TenantId tenantId)
 {
     sgx::Machine& machine = registry_->urts().machine();
 
@@ -234,7 +217,6 @@ WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
     // and the batch below is empty.
     if (!shedRequests.empty()) {
         const std::uint64_t shedNow = machine.clock().cycles();
-        std::lock_guard<std::mutex> c(completionsM_);
         for (Request& r : shedRequests) {
             Completion done;
             done.id = r.id;
@@ -249,27 +231,24 @@ WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
     TenantHandle* tenant = registry_->find(tenantId);
     if (!tenant) return;  // submit() guarantees existence
 
-    serveBatch(*tenant, std::move(batch), fixedCore, haveFixedCore);
+    serveBatch(*tenant, std::move(batch));
 
     // Restore the EPC watermark before the next tenant needs pages.
     pressure_->relieve();
 }
 
 void
-WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
-                       hw::CoreId fixedCore, bool haveFixedCore)
+WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch)
 {
     sgx::Machine& machine = registry_->urts().machine();
 
-    // Own the tenant for the whole attempt: residency, dispatch and
-    // rebuild all happen under this lock, so the pressure manager (which
-    // only try_locks from evictTenant) can never page out a tenant that
-    // is mid-batch on another thread.
-    std::lock_guard<std::mutex> own(tenant.m);
+    // Hold the tenant for the whole attempt: residency, dispatch and
+    // rebuild all happen with it held, so the pressure manager can never
+    // page out a tenant that is mid-batch.
+    TenantHold hold(tenant);
 
     auto failBatchTyped = [&](Status st, bool rebuiltFlag) {
         const std::uint64_t now = machine.clock().cycles();
-        std::lock_guard<std::mutex> c(completionsM_);
         for (Request& r : batch) {
             Completion done;
             done.id = r.id;
@@ -284,7 +263,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
     // Circuit breaker: while open, refuse the batch outright unless the
     // cooldown has elapsed — then exactly this batch goes through as the
     // half-open probe.
-    Breaker& breaker = breakerFor(tenant.id);
+    Breaker& breaker = breakers_[tenant.id];
     if (breaker.open) {
         bool probeDue = false;
 #ifndef NESGX_BUG_BREAKER_STUCK
@@ -338,7 +317,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
             continue;
         }
 
-        const hw::CoreId core = haveFixedCore ? fixedCore : pickCore();
+        const hw::CoreId core = pickCore();
 
         std::vector<ByteView> views;
         views.reserve(batch.size());
@@ -385,7 +364,6 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
 
     const std::uint64_t now = machine.clock().cycles();
     if (dispatched) {
-        std::lock_guard<std::mutex> c(completionsM_);
         for (std::size_t i = 0; i < batch.size(); ++i) {
             Completion done;
             done.id = batch[i].id;
@@ -444,59 +422,9 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
     }
 }
 
-std::size_t
-WorkerPool::runParallel(std::size_t threads)
-{
-    if (threads == 0) threads = config_.threads;
-    if (threads <= 1) {
-        // Serial fallback: the historical step() loop, same round-robin
-        // core pick, same trace stream, byte for byte.
-        std::size_t steps = 0;
-        while (step()) ++steps;
-        return steps;
-    }
-    threads = std::min<std::size_t>(threads, config_.cores);
-
-    // Static ownership: worker t serves every tenant whose gateway index
-    // hashes to t on simulated core t. Disjoint gateways mean disjoint
-    // staging heaps and TCSes per thread; per-tenant FIFO falls out of
-    // one tenant having exactly one server thread.
-    std::vector<std::vector<TenantHandle*>> owned(threads);
-    for (const auto& [id, tenant] : registry_->tenants()) {
-        owned[tenant->gatewayIndex % threads].push_back(tenant.get());
-    }
-
-    os::Kernel& kernel = registry_->urts().kernel();
-    const os::Pid pid = registry_->urts().pid();
-    std::atomic<std::size_t> total{0};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        workers.emplace_back([this, &owned, &kernel, &total, pid, t] {
-            const hw::CoreId core = hw::CoreId(t);
-            kernel.schedule(core, pid);
-            std::size_t steps = 0;
-            bool progress = true;
-            while (progress) {
-                progress = false;
-                for (TenantHandle* tenant : owned[t]) {
-                    if (admission_->depth(tenant->id) == 0) continue;
-                    processTenant(tenant->id, core, true);
-                    ++steps;
-                    progress = true;
-                }
-            }
-            total.fetch_add(steps, std::memory_order_relaxed);
-        });
-    }
-    for (std::thread& w : workers) w.join();
-    return total.load(std::memory_order_relaxed);
-}
-
 std::vector<Completion>
 WorkerPool::drain()
 {
-    std::lock_guard<std::mutex> g(completionsM_);
     std::vector<Completion> out;
     out.swap(completions_);
     return out;
@@ -656,8 +584,8 @@ TenantService::placement(TenantId id)
 {
     Placement p;
     if (TenantHandle* tenant = registry_.find(id)) {
-        p.epoch = tenant->epoch.load(std::memory_order_relaxed);
-        p.incarnation = tenant->incarnation.load(std::memory_order_relaxed);
+        p.epoch = tenant->epoch;
+        p.incarnation = tenant->incarnation;
     }
     return p;
 }
@@ -675,7 +603,7 @@ TenantService::submitStamped(TenantId tenant, Bytes stamped)
     // relocation is refused typed, never served — stale clients would
     // otherwise burn sequence numbers against a placement they cannot
     // verify responses from.
-    if (epoch != handle->epoch.load(std::memory_order_relaxed)) {
+    if (epoch != handle->epoch) {
         ++handle->wrongEpochs;
         registry_.urts().machine().trace().publishLight(
             trace::EventKind::ServeWrongEpoch, trace::kNoCore, 0, tenant,

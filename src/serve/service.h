@@ -10,10 +10,10 @@
  * victim's next request, so tenants far beyond EPC capacity stay
  * correct — they just pay cold-start reload latency.
  *
- * WorkerPool drains the admission queues batch-at-a-time across the
- * machine's cores: one batch = one EENTER + one NEENTER no matter how
- * many requests it carries, which is the transition amortization
- * bench_serve measures.
+ * WorkerPool drains the admission queues batch-at-a-time, round-robin
+ * across the machine's simulated cores: one batch = one EENTER + one
+ * NEENTER no matter how many requests it carries, which is the
+ * transition amortization bench_serve measures.
  *
  * The pool is also where the stack self-heals (DESIGN.md §11): every
  * dispatch failure is classified — *poisoned* errors (paging
@@ -24,10 +24,8 @@
  */
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "attest/verifier.h"
 #include "serve/admission.h"
@@ -67,11 +65,9 @@ class EpcPressureManager {
     os::Kernel* kernel_;
     TenantRegistry* registry_;
     Config config_;
-    /** Relaxed atomics: every worker thread relieves pressure after its
-     *  own batches, so the eviction accounting races benignly. */
-    Counter tenantsEvicted_;
-    Counter pagesWritten_;
-    Counter watermarkMisses_;
+    Counter tenantsEvicted_ = 0;
+    Counter pagesWritten_ = 0;
+    Counter watermarkMisses_ = 0;
 };
 
 struct Completion {
@@ -103,9 +99,6 @@ class WorkerPool {
         std::uint32_t breakerThreshold = 4;
         /** Cooldown before an open breaker admits a half-open probe. */
         std::uint64_t breakerCooldownCycles = 200000;
-        /** OS worker threads for runParallel (1 = the serial step()
-         *  loop, byte-identical to the historical single-thread path). */
-        std::size_t threads = 1;
     };
 
     WorkerPool(TenantRegistry& registry, AdmissionController& admission,
@@ -114,18 +107,6 @@ class WorkerPool {
     /** Serves one tenant batch (round-robin); false when queues are
      *  empty. Shedding counts as progress. */
     bool step();
-
-    /**
-     * Drains the queues with `threads` real OS worker threads (0 = the
-     * configured default). Thread t pins simulated core t and owns every
-     * tenant whose gateway index hashes to it, so one gateway's staging
-     * heap and TCSes are only ever driven by one thread and a tenant's
-     * batches keep their seal-sequence order. threads <= 1 falls back to
-     * the serial step() loop — byte-identical traces. Returns batches
-     * (steps) processed. All tenants must exist before this is called;
-     * enable the trace bus's parallel mode first when a sink listens.
-     */
-    std::size_t runParallel(std::size_t threads = 0);
 
     /** Completed requests since the last drain. */
     std::vector<Completion> drain();
@@ -137,9 +118,9 @@ class WorkerPool {
         engine_ = engine;
     }
 
-    /** Supervisor entry (escalation ladder's tenant-rebuild rung): owns
-     *  the tenant's lock for the whole destroy-and-rebuild, exactly like
-     *  the in-batch recovery path. */
+    /** Supervisor entry (escalation ladder's tenant-rebuild rung): holds
+     *  the tenant for the whole destroy-and-rebuild, exactly like the
+     *  in-batch recovery path. */
     Status rebuildTenant(TenantHandle& tenant);
 
     /** Supervisor entry (subtree-rebuild rung): disarms every member's
@@ -160,14 +141,11 @@ class WorkerPool {
     const Histogram& rebuildLatency() const { return rebuildLatency_; }
 
   private:
-    /** Per-tenant circuit breaker (DESIGN.md §11 state machine). The
-     *  fields are written only by the tenant's owning worker thread, but
-     *  the supervisor reads them from its own thread (breakerOpen), so
-     *  they are relaxed atomics rather than plain ints. */
+    /** Per-tenant circuit breaker (DESIGN.md §11 state machine). */
     struct Breaker {
-        Counter consecutiveFailures;
-        std::atomic<bool> open{false};
-        std::atomic<std::uint64_t> probeAt{0};  ///< cycles; half-open gate
+        Counter consecutiveFailures = 0;
+        bool open = false;
+        std::uint64_t probeAt = 0;  ///< cycles; half-open gate
     };
 
     /** Destroys and rebuilds a poisoned tenant: fails its whole queue
@@ -189,22 +167,15 @@ class WorkerPool {
 
     /** Takes + serves one batch for `tenantId`: shed completions, the
      *  breaker gate, the retry loop, completion delivery, then pressure
-     *  relief. `haveFixedCore` pins the dispatch core (parallel workers);
-     *  otherwise the historical round-robin picks per attempt. */
-    void processTenant(TenantId tenantId, hw::CoreId fixedCore,
-                       bool haveFixedCore);
+     *  relief. */
+    void processTenant(TenantId tenantId);
 
-    /** The locked middle of processTenant: everything from the breaker
-     *  gate through breaker bookkeeping, under the tenant's own lock. */
-    void serveBatch(TenantHandle& tenant, std::vector<Request> batch,
-                    hw::CoreId fixedCore, bool haveFixedCore);
+    /** The held middle of processTenant: everything from the breaker
+     *  gate through breaker bookkeeping, with the tenant held. */
+    void serveBatch(TenantHandle& tenant, std::vector<Request> batch);
 
-    /** Serial-mode round-robin core pick (single-thread only). */
+    /** Round-robin core pick, one per dispatch attempt. */
     hw::CoreId pickCore();
-
-    /** Per-tenant breaker slot; std::map node, so the reference stays
-     *  valid while other threads insert their own tenants' slots. */
-    Breaker& breakerFor(TenantId tenant);
 
     TenantRegistry* registry_;
     switchless::SwitchlessEngine* engine_ = nullptr;
@@ -212,26 +183,24 @@ class WorkerPool {
     EpcPressureManager* pressure_;
     Config config_;
     hw::CoreId nextCore_ = 0;
-    /** Completions are pushed by every worker and swapped out by drain. */
-    mutable std::mutex completionsM_;
     std::vector<Completion> completions_;
-    /** Guards only the breaker map's structure; each Breaker's fields are
-     *  owned by the tenant's single worker thread (partitioning). */
-    mutable std::mutex breakersM_;
     std::map<TenantId, Breaker> breakers_;
-    mutable std::mutex rebuildM_;  ///< rebuildLatency_ sample inserts
     Histogram rebuildLatency_;
-    Counter batches_;
-    Counter served_;
-    Counter dispatchFailures_;
-    Counter retries_;
-    Counter rebuilds_;
-    Counter subtreeRebuilds_;
-    Counter breakerOpens_;
-    Counter breakerCloses_;
+    Counter batches_ = 0;
+    Counter served_ = 0;
+    Counter dispatchFailures_ = 0;
+    Counter retries_ = 0;
+    Counter rebuilds_ = 0;
+    Counter subtreeRebuilds_ = 0;
+    Counter breakerOpens_ = 0;
+    Counter breakerCloses_ = 0;
 };
 
-/** The whole serving stack behind one object. */
+/**
+ * The whole serving stack behind one object. One thread drives a
+ * TenantService and the Machine beneath it: submit, pump, drain, and the
+ * supervisor and migration engine in between pumps, never concurrently.
+ */
 class TenantService {
   public:
     struct Config {
@@ -314,13 +283,6 @@ class TenantService {
 
     /** Runs worker steps until the queues drain (or maxBatches). */
     std::size_t pump(std::size_t maxBatches = std::size_t(-1));
-
-    /** Drains the queues with real OS worker threads (see
-     *  WorkerPool::runParallel); threads <= 1 is the serial pump. */
-    std::size_t pumpParallel(std::size_t threads)
-    {
-        return pool_.runParallel(threads);
-    }
 
     std::vector<Completion> drain() { return pool_.drain(); }
 

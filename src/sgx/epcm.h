@@ -8,8 +8,6 @@
  */
 #pragma once
 
-#include <array>
-#include <mutex>
 #include <vector>
 
 #include "hw/types.h"
@@ -29,11 +27,6 @@ struct EpcmEntry {
 
 class Epcm {
   public:
-    /** Stripe fan-out for the per-frame mutexes. 64 stripes keep two
-     *  concurrent paging/validation flows on distinct frames from ever
-     *  colliding in practice while costing one cacheline each. */
-    static constexpr std::size_t kStripes = 64;
-
     explicit Epcm(std::uint64_t pageCount) : entries_(pageCount) {}
 
     EpcmEntry& entry(std::uint64_t pageIndex) { return entries_[pageIndex]; }
@@ -47,25 +40,8 @@ class Epcm {
     /** Number of valid entries owned by the given SECS. */
     std::uint64_t countOwnedBy(hw::Paddr secsPa) const;
 
-    /**
-     * Striped per-frame lock, keyed by EPC frame index. The TLB-miss
-     * validation walk (machine_access.cpp) snapshots the entry under
-     * this lock so a concurrent paging-leaf mutation of the *same frame*
-     * can never be observed torn; distinct frames map to distinct
-     * stripes (mod kStripes) and proceed in parallel.
-     */
-    std::unique_lock<std::mutex> lockFrame(std::uint64_t pageIndex) const
-    {
-        return std::unique_lock<std::mutex>(stripes_[pageIndex % kStripes].m);
-    }
-
   private:
-    struct alignas(64) Stripe {
-        std::mutex m;
-    };
-
     std::vector<EpcmEntry> entries_;
-    mutable std::array<Stripe, kStripes> stripes_;
 };
 
 }  // namespace nesgx::sgx

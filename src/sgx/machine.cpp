@@ -70,24 +70,12 @@ Machine::tcsAt(hw::Paddr pa) const
 void
 Machine::flushCoreTlb(hw::CoreId coreId)
 {
-    // Public entry (OS reschedule): exclusive — the flushed TLB may
-    // belong to a core another thread is running.
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
-    flushCoreTlbLocked(coreId);
-}
-
-void
-Machine::flushCoreTlbLocked(hw::CoreId coreId)
-{
     // The TLB publishes the TlbFlush event (feeding the tlbFlushes
     // counter) from inside flushAll — hw/tlb.cpp is the emission site.
     cores_[coreId].tlb().flushAll();
     cores_[coreId].clearLastTranslation();
     // A flushed core no longer caches stale translations: drop it from
     // every active ETRACK tracking set (paper §IV-E thread tracking).
-    // Transitions reach here in shared mode, so concurrent AEXes race on
-    // the sets without the tracking mutex.
-    std::lock_guard<std::mutex> t(trackingMutex_);
     for (auto& [pa, secs] : secsTable_) {
         if (secs.trackingActive) secs.trackingSet.erase(coreId);
     }
@@ -116,7 +104,6 @@ Machine::invalidateTlbForSecs(hw::Paddr secsPage)
 void
 Machine::invalidateClosureCache()
 {
-    std::lock_guard<std::mutex> g(closureMutex_);
     closureCache_.clear();
 }
 
@@ -153,7 +140,7 @@ Machine::chargeDataPath(hw::Paddr pa, std::uint64_t len)
     hw::Paddr last = hw::lineBase(pa + len - 1);
     // Callers pass ranges that never straddle the PRM boundary (access
     // proceeds per page segment), so the miss-side cost is uniform and
-    // the whole range can go through one locked LLC pass.
+    // the whole range can go through one LLC pass.
     const std::uint64_t lineCount = (last - first) / hw::kCacheLineSize + 1;
     const std::uint64_t llcLines = llc_.touchRange(first, lineCount);
     const std::uint64_t missLines = lineCount - llcLines;
@@ -183,12 +170,8 @@ Machine::outerClosure(hw::Paddr secsPage) const
 const std::vector<hw::Paddr>&
 Machine::outerClosure(hw::Paddr secsPage, bool* cacheHit) const
 {
-    // Memoization under its own leaf mutex: shared-mode translation
-    // misses race on the cache map, while the association graph itself
-    // (secsTable_/outerEids) only changes under the exclusive lock. A
-    // returned reference stays valid until the next NASSO/EREMOVE drops
-    // the cache — both exclusive, so no shared-mode reader is in flight.
-    std::lock_guard<std::mutex> lock(closureMutex_);
+    // A returned reference stays valid until the next NASSO/EREMOVE
+    // drops the cache (std::map nodes survive other insertions).
     auto cached = closureCache_.find(secsPage);
     if (cached != closureCache_.end()) {
         *cacheHit = true;
@@ -249,14 +232,10 @@ Machine::trackedCores(hw::Paddr secsPage) const
 void
 Machine::ipiShootdown(hw::Paddr secsPage)
 {
-    // Exclusive: acquiring the writer side IS the quiesce — once held, no
-    // simulated core is mid-transition or mid-access, which is exactly
-    // the guarantee a real IPI provides before the initiator proceeds.
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     for (hw::CoreId id : trackedCores(secsPage)) {
         charge(costs_.ipi);
         bus_.publishLight(trace::EventKind::Ipi, id, coreEid(id), secsPage);
-        aexLocked(id);
+        aex(id);
     }
 }
 

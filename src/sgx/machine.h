@@ -28,8 +28,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <vector>
 
 #include "crypto/gcm.h"
@@ -66,6 +64,13 @@ struct EvictedPage {
     std::uint64_t version = 0;
 };
 
+/**
+ * One thread drives a Machine. Simulated cores are modelled state (each
+ * with its own TLB and enclave frame stack), not host threads: every
+ * leaf runs to completion before the next starts, so the simulated
+ * clock, the trace stream and every counter are deterministic and
+ * nothing here takes a lock.
+ */
 class Machine {
   public:
     struct Config {
@@ -408,24 +413,6 @@ class Machine {
                                       hw::Access access);
 
     /**
-     * Internal traced-but-unlocked leaf variants, for call sites that
-     * already hold `stateMutex_`: IPI shootdown (exclusive) delivers AEX
-     * to tracked cores, and the AexStorm fault hook (shared, inside
-     * accessRange) injects AEX+ERESUME mid-access. They emit exactly the
-     * same LeafEnter/LeafExit brackets as the public leaves, so the
-     * serial trace stream is byte-identical to the pre-locking machine.
-     */
-    Status aexLocked(hw::CoreId core);
-    Status eresumeLocked(hw::CoreId core, hw::Paddr tcsPage);
-
-    /** Body of `translate` without the state lock (accessRange holds it). */
-    Result<hw::Paddr> translateLocked(hw::CoreId core, hw::Vaddr va,
-                                      hw::Access a);
-
-    /** Body of `flushCoreTlb` without the state lock (AEX/EENTER paths). */
-    void flushCoreTlbLocked(hw::CoreId core);
-
-    /**
      * Tag-checked TLB probe: forwards to `Tlb::lookup` with the core's
      * current SECS as the tag, accounting any tag reject in stats and
      * charging the tag-compare cost (tagged mode only).
@@ -476,34 +463,6 @@ class Machine {
     mutable std::map<hw::Paddr, std::vector<hw::Paddr>> closureCache_;
     /** Armed fault injector (src/fault), or null. Never owned. */
     fault::FaultInjector* faultInjector_ = nullptr;
-
-    /**
-     * Machine-wide reader/writer lock for real-thread mode (§13 of
-     * DESIGN.md). Leaves that mutate *structural* state — lifecycle
-     * (ECREATE..NASSO), paging (EBLOCK/ETRACK/EWB/ELDU), IPI shootdown,
-     * OS-initiated TLB flushes — take it exclusive. Transitions, data
-     * accesses and attestation take it shared: they only touch their own
-     * core's state (TLB, frame stack) plus structures with their own
-     * finer locks (LLC, page tables, EPCM stripes, clock, trace bus).
-     *
-     * Exclusive acquisition doubles as the epoch/IPI quiesce point: a
-     * writer observing the lock means no simulated core is mid-access,
-     * so sweeping another core's TLB (invalidateTlbFor*) is race-free
-     * without per-TLB locks — TLBs stay lock-free to their owning
-     * thread, the concurrency analogue of real IPI shootdown.
-     *
-     * In single-thread mode the lock is always uncontended and the
-     * sequence of machine operations — hence the trace — is unchanged.
-     */
-    mutable std::shared_mutex stateMutex_;
-    /** Guards the ETRACK tracking sets (Secs::trackingSet/trackingActive):
-     *  written by shared-mode AEX paths (flushCoreTlbLocked), so the
-     *  rwlock alone does not order concurrent erasures. Leaf-level: never
-     *  held while acquiring any other lock. */
-    mutable std::mutex trackingMutex_;
-    /** Guards closureCache_: `outerClosure` memoizes under shared mode.
-     *  Leaf-level, like trackingMutex_. */
-    mutable std::mutex closureMutex_;
 };
 
 }  // namespace nesgx::sgx

@@ -72,14 +72,8 @@ Machine::validateAndFill(hw::CoreId coreId, hw::Vaddr va, hw::Access access)
     if (!secs) return Err::PageFault;
 
     if (mem_.inPrm(pa)) {
-        // (B) Enclave mode, EPC physical target. The entry is snapshotted
-        // under its EPCM stripe so a concurrent paging writer can never
-        // be observed half-applied (a torn valid/owner pair would let a
-        // stale mapping slip into the TLB).
-        const EpcmEntry entry = [&] {
-            auto stripe = epcm_.lockFrame(mem_.epcPageIndex(pa));
-            return epcm_.entry(mem_.epcPageIndex(pa));
-        }();
+        // (B) Enclave mode, EPC physical target.
+        const EpcmEntry& entry = epcm_.entry(mem_.epcPageIndex(pa));
         if (!entry.valid || entry.blocked || entry.type != PageType::Reg) {
             bus_.publishLight(trace::EventKind::AccessFault, coreId, eid, va);
             return Err::PageFault;
@@ -182,13 +176,6 @@ Machine::validateAndFill(hw::CoreId coreId, hw::Vaddr va, hw::Access access)
 Result<hw::Paddr>
 Machine::translate(hw::CoreId coreId, hw::Vaddr va, hw::Access access)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
-    return translateLocked(coreId, va, access);
-}
-
-Result<hw::Paddr>
-Machine::translateLocked(hw::CoreId coreId, hw::Vaddr va, hw::Access access)
-{
     hw::Core& core = cores_[coreId];
 
     // L0: the last successful translation, trusted only while the TLB
@@ -221,23 +208,15 @@ Status
 Machine::accessRange(hw::CoreId coreId, hw::Vaddr va, std::uint8_t* out,
                      const std::uint8_t* in, std::uint64_t len)
 {
-    // Shared for the whole (possibly multi-page) access: the data path
-    // only touches this core's TLB/translation register plus structures
-    // with their own locks, and structural writers are excluded for the
-    // duration so a page cannot be evicted out from under the copy loop.
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
-
     // Spurious-interrupt storm: the running nest AEXes to its bottom TCS
     // and is immediately ERESUMEd, paying the full save/flush/restore and
     // re-running the EENTER-grade frame revalidation before the access
     // proceeds. If the resume is refused (the nest was torn down under
-    // us) the access falls through to the normal fault path below. The
-    // locked leaf variants keep the trace brackets while reusing this
-    // call's shared hold.
+    // us) the access falls through to the normal fault path below.
     if (faultInjector_ && cores_[coreId].inEnclaveMode() &&
         faultFiresSlow(fault::FaultSite::AexStorm, coreId)) {
         const hw::Paddr bottom = cores_[coreId].bottomTcs();
-        if (aexLocked(coreId)) (void)eresumeLocked(coreId, bottom);
+        if (aex(coreId)) (void)eresume(coreId, bottom);
     }
 
     const hw::Access access = out ? hw::Access::Read : hw::Access::Write;
@@ -270,7 +249,7 @@ Machine::accessRange(hw::CoreId coreId, hw::Vaddr va, std::uint8_t* out,
             }
         }
         if (!translated) {
-            auto r = translateLocked(coreId, cur, access);
+            auto r = translate(coreId, cur, access);
             if (!r) return r.status();
             pa = r.value() - hw::pageOffset(cur);
         }
@@ -307,8 +286,7 @@ Machine::write(hw::CoreId coreId, hw::Vaddr va, const std::uint8_t* in,
 Status
 Machine::fetch(hw::CoreId coreId, hw::Vaddr va)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
-    auto pa = translateLocked(coreId, va, hw::Access::Execute);
+    auto pa = translate(coreId, va, hw::Access::Execute);
     return pa.status();
 }
 

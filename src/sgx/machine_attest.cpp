@@ -62,7 +62,6 @@ Result<Report>
 Machine::ereport(hw::CoreId coreId, const TargetInfo& target,
                  const ReportData& data)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Ereport, coreId, 0,
                       [&] { return ereportImpl(coreId, target, data); });
 }
@@ -93,7 +92,6 @@ Result<NestedReport>
 Machine::nereport(hw::CoreId coreId, const TargetInfo& target,
                   const ReportData& data)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Nereport, coreId, 0,
                       [&] { return nereportImpl(coreId, target, data); });
 }
@@ -158,7 +156,6 @@ Machine::nereportImpl(hw::CoreId coreId, const TargetInfo& target,
 Result<crypto::Sha256Digest>
 Machine::egetkeyReport(hw::CoreId coreId)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Egetkey, coreId, 0,
                       [&] { return egetkeyReportImpl(coreId); });
 }
@@ -177,7 +174,6 @@ Machine::egetkeyReportImpl(hw::CoreId coreId)
 Result<crypto::Sha256Digest>
 Machine::egetkeySeal(hw::CoreId coreId)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Egetkey, coreId, 0,
                       [&] { return egetkeySealImpl(coreId); });
 }
@@ -197,7 +193,6 @@ Machine::egetkeySealImpl(hw::CoreId coreId)
 Result<crypto::Sha256Digest>
 Machine::egetkeySealIdentity(hw::CoreId coreId)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Egetkey, coreId, 0,
                       [&] { return egetkeySealIdentityImpl(coreId); });
 }

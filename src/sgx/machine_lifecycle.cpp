@@ -22,9 +22,6 @@ Status
 Machine::ecreate(hw::Paddr secsPage, hw::Vaddr baseAddr, std::uint64_t size,
                  std::uint64_t attributes)
 {
-    // Lifecycle leaves rewrite the structural tables (EPCM, SECS/TCS
-    // maps, association graph): exclusive against every other leaf.
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Ecreate, trace::kNoCore, secsPage,
                       [&] { return ecreateImpl(secsPage, baseAddr, size, attributes); });
 }
@@ -47,14 +44,11 @@ Machine::ecreateImpl(hw::Paddr secsPage, hw::Vaddr baseAddr, std::uint64_t size,
     EpcmEntry& entry = epcm_.entry(mem_.epcPageIndex(secsPage));
     if (entry.valid) return Err::PageInUse;
 
-    {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(secsPage));
-        entry = EpcmEntry{};
-        entry.valid = true;
-        entry.type = PageType::Secs;
-        entry.ownerSecs = secsPage;  // SECS pages own themselves
-        entry.vaddr = 0;
-    }
+    entry = EpcmEntry{};
+    entry.valid = true;
+    entry.type = PageType::Secs;
+    entry.ownerSecs = secsPage;  // SECS pages own themselves
+    entry.vaddr = 0;
 
     Secs secs;
     secs.eid = nextEid_++;
@@ -70,7 +64,6 @@ Status
 Machine::eadd(hw::Paddr secsPage, hw::Paddr epcPage, hw::Vaddr vaddr,
               PageType type, PagePerms perms, ByteView src)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eadd, trace::kNoCore, epcPage,
                       [&] { return eaddImpl(secsPage, epcPage, vaddr, type, perms, src); });
 }
@@ -99,16 +92,13 @@ Machine::eaddImpl(hw::Paddr secsPage, hw::Paddr epcPage, hw::Vaddr vaddr,
     EpcmEntry& entry = epcm_.entry(mem_.epcPageIndex(epcPage));
     if (entry.valid) return Err::PageInUse;
 
-    {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(epcPage));
-        entry = EpcmEntry{};
-        entry.valid = true;
-        entry.type = type;
-        entry.ownerSecs = secsPage;
-        entry.vaddr = vaddr;
-        entry.perms = (type == PageType::Tcs) ? PagePerms{false, false, false}
-                                              : perms;
-    }
+    entry = EpcmEntry{};
+    entry.valid = true;
+    entry.type = type;
+    entry.ownerSecs = secsPage;
+    entry.vaddr = vaddr;
+    entry.perms = (type == PageType::Tcs) ? PagePerms{false, false, false}
+                                          : perms;
 
     if (src.empty()) {
         mem_.fill(epcPage, 0, hw::kPageSize);
@@ -126,7 +116,6 @@ Machine::eaddImpl(hw::Paddr secsPage, hw::Paddr epcPage, hw::Vaddr vaddr,
 Status
 Machine::eextend(hw::Paddr secsPage, hw::Paddr epcPage)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eextend, trace::kNoCore, epcPage,
                       [&] { return eextendImpl(secsPage, epcPage); });
 }
@@ -156,7 +145,6 @@ Machine::eextendImpl(hw::Paddr secsPage, hw::Paddr epcPage)
 Status
 Machine::einit(hw::Paddr secsPage, const SigStruct& sig)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Einit, trace::kNoCore, secsPage,
                       [&] { return einitImpl(secsPage, sig); });
 }
@@ -192,7 +180,6 @@ Machine::einitImpl(hw::Paddr secsPage, const SigStruct& sig)
 Status
 Machine::eremove(hw::Paddr epcPage)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eremove, trace::kNoCore, epcPage,
                       [&] { return eremoveImpl(epcPage); });
 }
@@ -260,10 +247,7 @@ Machine::eremoveImpl(hw::Paddr epcPage)
             }
         }
     }
-    {
-        auto stripe = epcm_.lockFrame(index);
-        entry = EpcmEntry{};
-    }
+    entry = EpcmEntry{};
     // The frame returns to the free pool; no TLB on any core may still
     // translate to it (the EPCM no longer vouches for the mapping).
     invalidateTlbForPage(epcPage);
@@ -273,7 +257,6 @@ Machine::eremoveImpl(hw::Paddr epcPage)
 Status
 Machine::nasso(hw::Paddr innerSecsPage, hw::Paddr outerSecsPage)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Nasso, trace::kNoCore, innerSecsPage,
                       [&] { return nassoImpl(innerSecsPage, outerSecsPage); });
 }

@@ -13,10 +13,6 @@ namespace nesgx::sgx {
 Status
 Machine::eblock(hw::Paddr epcPage)
 {
-    // Paging leaves are structural writers: exclusive. Acquisition also
-    // quiesces every simulated core (see stateMutex_ in machine.h), so
-    // the cross-core TLB sweeps below cannot race an in-flight access.
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eblock, trace::kNoCore, epcPage,
                       [&] { return eblockImpl(epcPage); });
 }
@@ -29,11 +25,7 @@ Machine::eblockImpl(hw::Paddr epcPage)
     if (!entry.valid || entry.type != PageType::Reg) {
         return Err::InvalidEpcPage;
     }
-    {
-        // Stripe hold keeps shared-mode snapshot readers torn-free.
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(epcPage));
-        entry.blocked = true;
-    }
+    entry.blocked = true;
     // A blocked page must stop being reachable through cached
     // translations. Under the tagged TLB this matters even on cores that
     // already left the enclave — their entries survived the exit.
@@ -44,7 +36,6 @@ Machine::eblockImpl(hw::Paddr epcPage)
 Status
 Machine::etrack(hw::Paddr secsPage)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Etrack, trace::kNoCore, secsPage,
                       [&] { return etrackImpl(secsPage); });
 }
@@ -57,19 +48,15 @@ Machine::etrackImpl(hw::Paddr secsPage)
     // Snapshot every core that may hold stale translations; cores drop out
     // of the set when their TLB is flushed (any enclave exit/IPI).
     auto cores = trackedCores(secsPage);
-    {
-        std::lock_guard<std::mutex> t(trackingMutex_);
-        secs->trackingSet.clear();
-        secs->trackingSet.insert(cores.begin(), cores.end());
-        secs->trackingActive = true;
-    }
+    secs->trackingSet.clear();
+    secs->trackingSet.insert(cores.begin(), cores.end());
+    secs->trackingActive = true;
     return Status::ok();
 }
 
 Result<EvictedPage>
 Machine::ewb(hw::Paddr epcPage)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Ewb, trace::kNoCore, epcPage,
                       [&] { return ewbImpl(epcPage); });
 }
@@ -89,11 +76,8 @@ Machine::ewbImpl(hw::Paddr epcPage)
     if (!secs) return Err::InvalidEpcPage;
     // Every thread that may cache the stale translation must have left
     // enclave mode (and thus flushed) since ETRACK.
-    {
-        std::lock_guard<std::mutex> t(trackingMutex_);
-        if (!secs->trackingActive || !secs->trackingSet.empty()) {
-            return Err::TrackingIncomplete;
-        }
+    if (!secs->trackingActive || !secs->trackingSet.empty()) {
+        return Err::TrackingIncomplete;
     }
 
     EvictedPage out;
@@ -119,10 +103,7 @@ Machine::ewbImpl(hw::Paddr epcPage)
         ByteView(mem_.raw(epcPage), hw::kPageSize));
 
     mem_.fill(epcPage, 0, hw::kPageSize);
-    {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(epcPage));
-        entry = EpcmEntry{};
-    }
+    entry = EpcmEntry{};
     // Belt and braces: the frame is zeroed and free; no core may keep a
     // translation into it (EBLOCK already swept, but an ELDU between
     // EBLOCK and EWB could have revalidated in another context).
@@ -145,7 +126,6 @@ Machine::ewbImpl(hw::Paddr epcPage)
 Status
 Machine::eldu(hw::Paddr epcPage, hw::Paddr secsPage, const EvictedPage& blob)
 {
-    std::unique_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eldu, trace::kNoCore, epcPage,
                       [&] { return elduImpl(epcPage, secsPage, blob); });
 }
@@ -185,15 +165,12 @@ Machine::elduImpl(hw::Paddr epcPage, hw::Paddr secsPage, const EvictedPage& blob
 
     versionArray_.erase(it);
     mem_.write(epcPage, plain.value().data(), hw::kPageSize);
-    {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(epcPage));
-        entry = EpcmEntry{};
-        entry.valid = true;
-        entry.type = blob.type;
-        entry.ownerSecs = secsPage;
-        entry.vaddr = blob.vaddr;
-        entry.perms = blob.perms;
-    }
+    entry = EpcmEntry{};
+    entry.valid = true;
+    entry.type = blob.type;
+    entry.ownerSecs = secsPage;
+    entry.vaddr = blob.vaddr;
+    entry.perms = blob.perms;
     return Status::ok();
 }
 

@@ -32,11 +32,6 @@ coreEvent(trace::EventKind kind, hw::CoreId core, std::uint64_t eid,
 Status
 Machine::eenter(hw::CoreId coreId, hw::Paddr tcsPage)
 {
-    // Transitions run in shared mode: they mutate only their own core's
-    // frame stack/TLB and the target TCS busy flag (whose ownership is
-    // serialized by the SDK/serving layers above), never the structural
-    // tables — those writers take the lock exclusive.
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eenter, coreId, tcsPage,
                       [&] { return eenterImpl(coreId, tcsPage); });
 }
@@ -51,10 +46,7 @@ Machine::eenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
     if (core.inEnclaveMode()) return Err::GeneralProtection;
     if (!mem_.inPrm(tcsPage)) return Err::GeneralProtection;
 
-    const EpcmEntry entry = [&] {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(tcsPage));
-        return epcm_.entry(mem_.epcPageIndex(tcsPage));
-    }();
+    const EpcmEntry& entry = epcm_.entry(mem_.epcPageIndex(tcsPage));
     if (!entry.valid || entry.type != PageType::Tcs || entry.blocked) {
         return Err::GeneralProtection;
     }
@@ -72,7 +64,7 @@ Machine::eenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
         bus_.publishLight(trace::EventKind::TlbFlushAvoided, coreId,
                           secs->eid);
     } else {
-        flushCoreTlbLocked(coreId);
+        flushCoreTlb(coreId);
     }
     tcs->busy = true;
     core.pushFrame(entry.ownerSecs, tcsPage, secs->eid);
@@ -82,7 +74,6 @@ Machine::eenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
 Status
 Machine::eexit(hw::CoreId coreId)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eexit, coreId, 0,
                       [&] { return eexitImpl(coreId); });
 }
@@ -103,7 +94,7 @@ Machine::eexitImpl(hw::CoreId coreId)
         bus_.publishLight(trace::EventKind::TlbFlushAvoided, coreId,
                           frame.eid);
     } else {
-        flushCoreTlbLocked(coreId);
+        flushCoreTlb(coreId);
     }
     return Status::ok();
 }
@@ -111,7 +102,6 @@ Machine::eexitImpl(hw::CoreId coreId)
 Status
 Machine::neenter(hw::CoreId coreId, hw::Paddr tcsPage)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Neenter, coreId, tcsPage,
                       [&] { return neenterImpl(coreId, tcsPage); });
 }
@@ -127,10 +117,7 @@ Machine::neenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
     if (!core.inEnclaveMode()) return Err::GeneralProtection;
     if (!mem_.inPrm(tcsPage)) return Err::GeneralProtection;
 
-    const EpcmEntry entry = [&] {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(tcsPage));
-        return epcm_.entry(mem_.epcPageIndex(tcsPage));
-    }();
+    const EpcmEntry& entry = epcm_.entry(mem_.epcPageIndex(tcsPage));
     if (!entry.valid || entry.type != PageType::Tcs || entry.blocked) {
         return Err::GeneralProtection;
     }
@@ -159,7 +146,7 @@ Machine::neenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
         bus_.publishLight(trace::EventKind::TlbFlushAvoided, coreId,
                           target->eid);
     } else {
-        flushCoreTlbLocked(coreId);
+        flushCoreTlb(coreId);
     }
     tcs->busy = true;
     core.pushFrame(entry.ownerSecs, tcsPage, target->eid);
@@ -169,7 +156,6 @@ Machine::neenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
 Status
 Machine::neexit(hw::CoreId coreId)
 {
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Neexit, coreId, 0,
                       [&] { return neexitImpl(coreId); });
 }
@@ -197,20 +183,13 @@ Machine::neexitImpl(hw::CoreId coreId)
         bus_.publishLight(trace::EventKind::TlbFlushAvoided, coreId,
                           frame.eid);
     } else {
-        flushCoreTlbLocked(coreId);
+        flushCoreTlb(coreId);
     }
     return Status::ok();
 }
 
 Status
 Machine::aex(hw::CoreId coreId)
-{
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
-    return aexLocked(coreId);
-}
-
-Status
-Machine::aexLocked(hw::CoreId coreId)
 {
     return tracedLeaf(trace::Leaf::Aex, coreId, 0,
                       [&] { return aexImpl(coreId); });
@@ -240,7 +219,7 @@ Machine::aexImpl(hw::CoreId coreId)
             if (Tcs* t = tcsAt(frame.tcs)) t->busy = false;
         }
         core.clearFrames();
-        flushCoreTlbLocked(coreId);
+        flushCoreTlb(coreId);
         trace::TraceEvent event =
             coreEvent(trace::EventKind::AexTaken, coreId, interruptedEid);
         event.code = std::uint16_t(Err::GeneralProtection);
@@ -250,7 +229,7 @@ Machine::aexImpl(hw::CoreId coreId)
     tcs->savedFrames = core.frames();
     tcs->hasSavedFrames = true;
     core.clearFrames();
-    flushCoreTlbLocked(coreId);
+    flushCoreTlb(coreId);
     bus_.publish(coreEvent(trace::EventKind::AexTaken, coreId, interruptedEid,
                            bottomTcs));
     return Status::ok();
@@ -258,13 +237,6 @@ Machine::aexImpl(hw::CoreId coreId)
 
 Status
 Machine::eresume(hw::CoreId coreId, hw::Paddr tcsPage)
-{
-    std::shared_lock<std::shared_mutex> g(stateMutex_);
-    return eresumeLocked(coreId, tcsPage);
-}
-
-Status
-Machine::eresumeLocked(hw::CoreId coreId, hw::Paddr tcsPage)
 {
     return tracedLeaf(trace::Leaf::Eresume, coreId, tcsPage,
                       [&] { return eresumeImpl(coreId, tcsPage); });
@@ -282,10 +254,7 @@ Machine::eresumeImpl(hw::CoreId coreId, hw::Paddr tcsPage)
     // that was EREMOVE'd (and whose EPC frames were reused) since.
     if (!mem_.inPrm(tcsPage)) return Err::GeneralProtection;
 #ifndef NESGX_BUG_ERESUME_UNCHECKED
-    const EpcmEntry entry = [&] {
-        auto stripe = epcm_.lockFrame(mem_.epcPageIndex(tcsPage));
-        return epcm_.entry(mem_.epcPageIndex(tcsPage));
-    }();
+    const EpcmEntry& entry = epcm_.entry(mem_.epcPageIndex(tcsPage));
     if (!entry.valid || entry.type != PageType::Tcs || entry.blocked) {
         return Err::GeneralProtection;
     }
@@ -305,10 +274,7 @@ Machine::eresumeImpl(hw::CoreId coreId, hw::Paddr tcsPage)
         return Err::GeneralProtection;
     }
     for (std::size_t i = 0; i < saved.size(); ++i) {
-        const EpcmEntry fe = [&] {
-            auto stripe = epcm_.lockFrame(mem_.epcPageIndex(saved[i].tcs));
-            return epcm_.entry(mem_.epcPageIndex(saved[i].tcs));
-        }();
+        const EpcmEntry& fe = epcm_.entry(mem_.epcPageIndex(saved[i].tcs));
         if (!fe.valid || fe.type != PageType::Tcs ||
             fe.ownerSecs != saved[i].secs || !tcsAt(saved[i].tcs)) {
             return Err::GeneralProtection;
@@ -323,7 +289,7 @@ Machine::eresumeImpl(hw::CoreId coreId, hw::Paddr tcsPage)
         bus_.publishLight(trace::EventKind::TlbFlushAvoided, coreId,
                           saved.empty() ? 0 : saved.back().eid);
     } else {
-        flushCoreTlbLocked(coreId);
+        flushCoreTlb(coreId);
     }
     for (const auto& frame : tcs->savedFrames) {
         core.pushFrame(frame.secs, frame.tcs, frame.eid);

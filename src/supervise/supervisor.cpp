@@ -221,7 +221,7 @@ Supervisor::tick()
         Watch& watch = watches_[id];
         if (watch.lastProgressCycles == 0) watch.lastProgressCycles = now;
 
-        const std::uint64_t ok = tenant->okServed.load();
+        const std::uint64_t ok = tenant->okServed;
         if (ok != watch.lastOkServed) {
             // Progress: the heartbeat advanced since the last tick.
             if (watch.wedged) {

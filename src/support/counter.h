@@ -1,70 +1,18 @@
 /**
- * Relaxed atomic counter with plain-integer ergonomics.
+ * Statistic counter type.
  *
  * The stats blocks (trace::StatsCounters, sdk::Urts::CallStats, the
- * switchless EngineStats) are written from every worker thread once the
- * serving layer runs on real OS threads. Their increments are pure
- * accumulation — order-independent — so relaxed atomics keep the final
- * totals deterministic for a deterministic workload while making the
- * concurrent bumps race-free.
- *
- * The type preserves the existing field syntax: `++c`, `c += n`,
- * `c = 0`, implicit read as std::uint64_t (so `(unsigned long long)c`,
- * `double(c)` and comparisons all keep working), and member-wise copy
- * for the snapshot-style `Stats s = machine.stats()` idiom.
+ * switchless EngineStats, the serving layer's tallies) are plain
+ * integers: one thread drives a Machine and everything built on it, so
+ * nothing bumps a counter concurrently. Declare fields with an
+ * initializer (`Counter n = 0;`) — the alias has no default value.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace nesgx {
 
-class Counter {
-  public:
-    constexpr Counter() noexcept = default;
-    constexpr Counter(std::uint64_t v) noexcept : v_(v) {}
-
-    Counter(const Counter& o) noexcept : v_(o.load()) {}
-    Counter& operator=(const Counter& o) noexcept
-    {
-        v_.store(o.load(), std::memory_order_relaxed);
-        return *this;
-    }
-    Counter& operator=(std::uint64_t v) noexcept
-    {
-        v_.store(v, std::memory_order_relaxed);
-        return *this;
-    }
-
-    operator std::uint64_t() const noexcept { return load(); }
-    std::uint64_t load() const noexcept
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-    Counter& operator++() noexcept
-    {
-        v_.fetch_add(1, std::memory_order_relaxed);
-        return *this;
-    }
-    std::uint64_t operator++(int) noexcept
-    {
-        return v_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Counter& operator+=(std::uint64_t d) noexcept
-    {
-        v_.fetch_add(d, std::memory_order_relaxed);
-        return *this;
-    }
-    Counter& operator-=(std::uint64_t d) noexcept
-    {
-        v_.fetch_sub(d, std::memory_order_relaxed);
-        return *this;
-    }
-
-  private:
-    std::atomic<std::uint64_t> v_{0};
-};
+using Counter = std::uint64_t;
 
 }  // namespace nesgx

@@ -65,7 +65,7 @@ enum class Err : std::uint32_t {
     /// client must re-resolve placement and retry (redirect semantics).
     WrongEpoch,
     /// A configuration refused before anything ran (zero tenants, zero
-    /// batch size, a thread count past the documented cap, ...).
+    /// batch size, a queue depth of zero, ...).
     InvalidConfig,
 };
 

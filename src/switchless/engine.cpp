@@ -334,7 +334,6 @@ SwitchlessEngine::armTenant(std::uint64_t key, const Endpoint& ep)
     }
     ch.parked = true;
     ch.lastActive = now();
-    if (config_.threadedPollers) startPoller(ch);
     ++stats_.armings;
     ++gw.tenants;
     for (std::size_t i = 1; i + 1 < chain.size(); ++i) {
@@ -344,48 +343,11 @@ SwitchlessEngine::armTenant(std::uint64_t key, const Endpoint& ep)
     return true;
 }
 
-void
-SwitchlessEngine::startPoller(TenantChannel& ch)
-{
-    ch.poller = std::make_shared<PollerState>();
-    PollerState* ps = ch.poller.get();
-    ps->thread = std::thread([ps] {
-        std::unique_lock<std::mutex> lk(ps->m);
-        for (;;) {
-            // This wait IS the park: the poller thread sleeps here until
-            // a request is posted or the channel is disarmed.
-            ps->cv.wait(lk, [ps] { return ps->hasWork || ps->stop; });
-            if (ps->stop) return;
-            std::function<void()> job = std::move(ps->job);
-            ps->hasWork = false;
-            lk.unlock();
-            job();
-            lk.lock();
-            ps->done = true;
-            ps->cv.notify_all();
-        }
-    });
-}
-
-void
-SwitchlessEngine::stopPoller(TenantChannel& ch)
-{
-    if (!ch.poller) return;
-    {
-        std::lock_guard<std::mutex> lk(ch.poller->m);
-        ch.poller->stop = true;
-    }
-    ch.poller->cv.notify_all();
-    if (ch.poller->thread.joinable()) ch.poller->thread.join();
-    ch.poller.reset();
-}
-
 bool
 SwitchlessEngine::ready(std::uint64_t key, const Endpoint& ep)
 {
     if (!config_.enabled) return false;
     if (ep.outer == nullptr || ep.inner == nullptr) return false;
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = tenants_.find(key);
     if (it != tenants_.end()) {
         // A rebuilt enclave comes back as a different LoadedEnclave;
@@ -496,13 +458,9 @@ SwitchlessEngine::unparkMid(MidChannel& mid)
 void
 SwitchlessEngine::disarm(std::uint64_t key)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return;
     TenantChannel& ch = it->second;
-    // Retire the parked thread first: after the join nobody but this
-    // thread can touch the channel's cores or rings.
-    stopPoller(ch);
 
     sgx::Machine& m = machine();
     // Never silently drop in-flight entries. The tier-2 rings live in
@@ -582,27 +540,22 @@ SwitchlessEngine::disarmGateway(GatewayChannel& gw)
 void
 SwitchlessEngine::disarmAll()
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     // Leaves first, then any surviving mid hops, then the roots: each
     // layer's rings live one layer up.
     while (!tenants_.empty()) disarm(tenants_.begin()->first);
     while (!mids_.empty()) disarmMid(mids_.begin()->first);
     for (auto& [outer, gw] : gateways_) disarmGateway(gw);
     gateways_.clear();
-    {
-        std::lock_guard<std::mutex> og(ocallM_);
-        for (auto& [root, oc] : ocallChannels_) {
-            if (oc.req.bound()) (void)oc.req.abandon(machine(), 0);
-            if (oc.resp.bound()) (void)oc.resp.abandon(machine(), 0);
-        }
-        ocallChannels_.clear();
+    for (auto& [root, oc] : ocallChannels_) {
+        if (oc.req.bound()) (void)oc.req.abandon(machine(), 0);
+        if (oc.resp.bound()) (void)oc.resp.abandon(machine(), 0);
     }
+    ocallChannels_.clear();
 }
 
 ChannelProgress
 SwitchlessEngine::channelProgress(std::uint64_t key) const
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     ChannelProgress out;
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return out;
@@ -706,7 +659,6 @@ Result<Bytes>
 SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
                        hw::CoreId hostCore)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return Err::Unavailable;
     TenantChannel& ch = it->second;
@@ -766,8 +718,7 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
     // ---- host -> gateway: post into untrusted shared memory ----------
     Status st = m.write(hostCore, gw.stagingVa, blob.data(), blob.size());
     if (!st) return st;
-    const std::uint64_t reqId =
-        nextRequestId_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t reqId = nextRequestId_++;
     Desc d;
     d.id = reqId;
     d.va = gw.stagingVa;
@@ -797,26 +748,7 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
         return s;
     };
 
-    // The in-enclave middle: on the channel's parked poller thread when
-    // one is armed (the cv handshake wakes it, it pumps, it re-parks),
-    // inline otherwise — identical operations either way.
-    Status pumped = Status::ok();
-    if (ch.poller) {
-        PollerState* ps = ch.poller.get();
-        {
-            std::lock_guard<std::mutex> lk(ps->m);
-            ps->job = [this, &ch, &gw, mids, &ep, reqId, &pumped] {
-                pumped = pumpEnclaveSide(ch, gw, mids, ep, reqId);
-            };
-            ps->hasWork = true;
-            ps->done = false;
-        }
-        ps->cv.notify_all();
-        std::unique_lock<std::mutex> lk(ps->m);
-        ps->cv.wait(lk, [ps] { return ps->done; });
-    } else {
-        pumped = pumpEnclaveSide(ch, gw, mids, ep, reqId);
-    }
+    Status pumped = pumpEnclaveSide(ch, gw, mids, ep, reqId);
     if (!pumped) return hardFail(pumped);
 
     // ---- host: harvest -----------------------------------------------
@@ -836,14 +768,6 @@ SwitchlessEngine::pumpEnclaveSide(TenantChannel& ch, GatewayChannel& gw,
                                   const Endpoint& ep, std::uint64_t reqId)
 {
     sgx::Machine& m = machine();
-    // Several tenant poller threads can relay through one relay hop;
-    // each hop's poller core takes one request at a time, like the real
-    // parked core would. Lock order: root hop first, then each mid in
-    // chain order.
-    std::lock_guard<std::mutex> gwOwn(*gw.coreM);
-    std::vector<std::unique_lock<std::mutex>> midOwn;
-    midOwn.reserve(mids.size());
-    for (MidChannel* mid : mids) midOwn.emplace_back(*mid->coreM);
 
     // One descriptor stop per relay hop, root first; the leaf's rings
     // and staging are the final forwarding target.
@@ -956,10 +880,6 @@ SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
     sdk::LoadedEnclave* root = &enclave;
     while (root->outer() != nullptr) root = root->outer();
 
-    // Deliberately NOT the engine lock: an ocall can surface from a
-    // tenant function mid-pump on a poller thread while call() holds
-    // m_ — the relay channels are independent plumbing.
-    std::lock_guard<std::mutex> g(ocallM_);
     sgx::Machine& m = machine();
     os::Kernel& kernel = urts_.kernel();
 
@@ -1008,8 +928,7 @@ SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
         st = m.write(core, oc.stagingVa + 4, arg.data(), arg.size());
         if (!st) return fail(st);
     }
-    const std::uint64_t id =
-        nextRequestId_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t id = nextRequestId_++;
     Desc d;
     d.id = id;
     d.va = oc.stagingVa + 4;

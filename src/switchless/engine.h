@@ -40,15 +40,9 @@
  */
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sdk/runtime.h"
@@ -72,15 +66,6 @@ struct Config {
     std::uint64_t hostStagingBytes = 16 * 1024;
     /** Gateway-heap staging buffer per tenant channel (bytes). */
     std::uint64_t gwStagingBytes = 16 * 1024;
-    /**
-     * Give every armed tenant channel a dedicated OS thread: the parked
-     * poller becomes a *real* parked thread, blocked on a condition
-     * variable until a request is posted, and the whole in-enclave pump
-     * (gateway drain -> tenant serve -> gateway relay) executes on that
-     * thread while the caller waits on the host side. Off by default:
-     * the inline pump keeps single-threaded traces byte-identical.
-     */
-    bool threadedPollers = false;
     /**
      * Serve enclave->host ocalls over shared-memory rings too: when on,
      * the engine registers as the SDK's OcallRelay and an ocall from any
@@ -134,13 +119,12 @@ struct Endpoint {
 
 /** Cumulative engine statistics (monotonic). */
 struct EngineStats {
-    /** Relaxed atomics: poller threads and callers bump concurrently. */
-    Counter calls;          ///< requests pumped switchlessly
-    Counter armings;        ///< channel park operations
-    Counter idleFallbacks;  ///< pollers unparked for idleness
-    Counter ringStalls;     ///< injected ring-stall faults
-    Counter pollerWedges;   ///< injected poller-wedge faults
-    Counter ocallRelays;    ///< ocalls served over rings (no exit)
+    Counter calls = 0;          ///< requests pumped switchlessly
+    Counter armings = 0;        ///< channel park operations
+    Counter idleFallbacks = 0;  ///< pollers unparked for idleness
+    Counter ringStalls = 0;     ///< injected ring-stall faults
+    Counter pollerWedges = 0;   ///< injected poller-wedge faults
+    Counter ocallRelays = 0;    ///< ocalls served over rings (no exit)
 };
 
 /** Snapshot of one tenant channel's liveness for external supervision. */
@@ -212,19 +196,6 @@ class SwitchlessEngine : public sdk::OcallRelay {
                                             ByteView arg) override;
 
   private:
-    /** The parked-thread half of a threaded poller: the thread blocks on
-     *  `cv` (that wait IS the park) until the caller posts a pump job,
-     *  runs it on the channel's poller core, and signals completion. */
-    struct PollerState {
-        std::mutex m;
-        std::condition_variable cv;
-        bool hasWork = false;
-        bool done = false;
-        bool stop = false;
-        std::function<void()> job;
-        std::thread thread;
-    };
-
     struct GatewayChannel {
         sdk::LoadedEnclave* outer = nullptr;
         DescRing req;
@@ -235,10 +206,6 @@ class SwitchlessEngine : public sdk::OcallRelay {
         bool parked = false;
         std::uint64_t lastActive = 0;
         std::uint64_t tenants = 0;  ///< tenant channels riding this outer
-        /** Serialises the gateway poller core: several tenant poller
-         *  threads relay through one gateway. shared_ptr keeps the
-         *  channel copyable into the map. */
-        std::shared_ptr<std::mutex> coreM = std::make_shared<std::mutex>();
     };
 
     /**
@@ -263,7 +230,6 @@ class SwitchlessEngine : public sdk::OcallRelay {
         bool parked = false;
         std::uint64_t lastActive = 0;
         std::uint64_t users = 0;  ///< leaf channels riding this hop
-        std::shared_ptr<std::mutex> coreM = std::make_shared<std::mutex>();
     };
 
     struct TenantChannel {
@@ -289,16 +255,13 @@ class SwitchlessEngine : public sdk::OcallRelay {
          *  channel stays armed and every call fails typed until a
          *  disarm (supervisor kick) tears it down. */
         bool wedged = false;
-        /** Set only when Config::threadedPollers armed a real thread. */
-        std::shared_ptr<PollerState> poller;
     };
 
     /**
      * Per-root ocall relay plumbing: dedicated rings + staging in host
-     * memory, armed lazily on the first relayed ocall. Guarded by
-     * `ocallM_` (never the engine lock: an ocall can surface from a
-     * tenant function mid-pump on a poller thread while call() holds
-     * `m_`).
+     * memory, armed lazily on the first relayed ocall. An ocall can
+     * surface from a tenant function mid-pump, so this map is kept
+     * apart from the channel maps call() is iterating.
      */
     struct OcallChannel {
         DescRing req;
@@ -340,40 +303,24 @@ class SwitchlessEngine : public sdk::OcallRelay {
      * its own ring and forwards one hop deeper (root poller first, then
      * every mid in chain order), the leaf poller serves without a
      * transition, and the response is relayed back up hop by hop onto
-     * the host-facing ring. In threaded mode this exact function runs
-     * on the channel's parked poller thread; inline otherwise — same
-     * operations, same trace. A depth-2 chain has no mids and reduces
+     * the host-facing ring. A depth-2 chain has no mids and reduces
      * exactly to the two-tier pump this generalises.
      */
     Status pumpEnclaveSide(TenantChannel& ch, GatewayChannel& gw,
                            const std::vector<MidChannel*>& mids,
                            const Endpoint& ep, std::uint64_t reqId);
 
-    void startPoller(TenantChannel& ch);
-    void stopPoller(TenantChannel& ch);
-
     sdk::Urts& urts_;
     Config config_;
     EngineStats stats_;
-    /**
-     * One engine-wide lock over the channel maps, the core free list and
-     * every public entry point. Recursive because a failing call() hard-
-     * fails into disarm(). Worker threads therefore serialise on the
-     * engine for the bookkeeping around a call; the pump itself runs on
-     * the channel's parked poller thread in threaded mode. Leaf order:
-     * engine lock -> urts/kernel/machine, never the reverse.
-     */
-    mutable std::recursive_mutex m_;
     std::map<sdk::LoadedEnclave*, GatewayChannel> gateways_;
     std::map<sdk::LoadedEnclave*, MidChannel> mids_;
     std::map<std::uint64_t, TenantChannel> tenants_;
     std::vector<hw::CoreId> freeCores_;
     hw::CoreId nextHighCore_ = 0;
     bool coresInit_ = false;
-    std::atomic<std::uint64_t> nextRequestId_{1};
-    /** Ocall relay channels, keyed by chain-root enclave. Own lock —
-     *  see OcallChannel. Lock order: never take m_ under ocallM_. */
-    std::mutex ocallM_;
+    std::uint64_t nextRequestId_ = 1;
+    /** Ocall relay channels, keyed by chain-root enclave. */
     std::map<sdk::LoadedEnclave*, OcallChannel> ocallChannels_;
 };
 

@@ -27,57 +27,51 @@
 
 namespace nesgx::trace {
 
-/**
- * All counters are relaxed-atomic (support/counter.h): the bus's inline
- * StatsSink is hit from every worker thread in `--threads N` mode, and
- * pure accumulation needs no ordering — totals stay deterministic and
- * the single-thread byte-identity of the golden corpus is unaffected.
- */
 struct StatsCounters {
-    Counter tlbMisses;
-    Counter tlbHits;
-    Counter nestedChecks;   ///< outer-chain walks taken
-    Counter accessFaults;
-    Counter eenterCount;
-    Counter eexitCount;
-    Counter neenterCount;
-    Counter neexitCount;
-    Counter aexCount;
-    Counter eresumeCount;
-    Counter ipiCount;
-    Counter meeLines;       ///< cachelines through the MEE
-    Counter llcHitLines;
+    Counter tlbMisses = 0;
+    Counter tlbHits = 0;
+    Counter nestedChecks = 0;   ///< outer-chain walks taken
+    Counter accessFaults = 0;
+    Counter eenterCount = 0;
+    Counter eexitCount = 0;
+    Counter neenterCount = 0;
+    Counter neexitCount = 0;
+    Counter aexCount = 0;
+    Counter eresumeCount = 0;
+    Counter ipiCount = 0;
+    Counter meeLines = 0;       ///< cachelines through the MEE
+    Counter llcHitLines = 0;
     // --- tagged-TLB / closure-cache fast path -----------------------
-    Counter tlbFlushes;        ///< full per-core flushes taken
-    Counter flushesAvoided;    ///< transitions that skipped one
-    Counter closureCacheHits;
-    Counter closureCacheMisses;
-    Counter taggedLookupRejects; ///< VPN hit, wrong context tag
+    Counter tlbFlushes = 0;        ///< full per-core flushes taken
+    Counter flushesAvoided = 0;    ///< transitions that skipped one
+    Counter closureCacheHits = 0;
+    Counter closureCacheMisses = 0;
+    Counter taggedLookupRejects = 0; ///< VPN hit, wrong context tag
     // --- serving layer / kernel victim selection --------------------
-    Counter victimPicks;         ///< kernel evict-victim choices
-    Counter serveBatches;        ///< batched dispatches completed
-    Counter serveBatchedRequests; ///< requests carried by them
-    Counter serveSheds;          ///< requests dropped by deadline
-    Counter serveTenantEvictions; ///< tenants evicted for pressure
-    Counter serveTenantReloads;   ///< cold-start reloads
+    Counter victimPicks = 0;         ///< kernel evict-victim choices
+    Counter serveBatches = 0;        ///< batched dispatches completed
+    Counter serveBatchedRequests = 0; ///< requests carried by them
+    Counter serveSheds = 0;          ///< requests dropped by deadline
+    Counter serveTenantEvictions = 0; ///< tenants evicted for pressure
+    Counter serveTenantReloads = 0;   ///< cold-start reloads
     // --- fault injection / self-healing -----------------------------
-    Counter faultsInjected;       ///< FaultInjector hits fired
-    Counter serveRetries;         ///< transient redispatches
-    Counter serveTenantRebuilds;  ///< poisoned inners rebuilt
-    Counter serveTenantMigrations; ///< live tenants relocated
-    Counter serveBreakerOpens;    ///< circuit-breaker opens
-    Counter serveBreakerCloses;   ///< half-open probes passed
-    Counter serveWatermarkMisses; ///< relieve() watermark unmet
+    Counter faultsInjected = 0;       ///< FaultInjector hits fired
+    Counter serveRetries = 0;         ///< transient redispatches
+    Counter serveTenantRebuilds = 0;  ///< poisoned inners rebuilt
+    Counter serveTenantMigrations = 0; ///< live tenants relocated
+    Counter serveBreakerOpens = 0;    ///< circuit-breaker opens
+    Counter serveBreakerCloses = 0;   ///< half-open probes passed
+    Counter serveWatermarkMisses = 0; ///< relieve() watermark unmet
     // --- switchless call layer ---------------------------------------
-    Counter switchlessPosts;      ///< descriptors pushed to rings
-    Counter switchlessDrains;     ///< descriptors drained in-enclave
-    Counter switchlessFallbacks;  ///< rings abandoned to classic path
-    Counter switchlessPolls;      ///< ring-header polls by pollers
+    Counter switchlessPosts = 0;      ///< descriptors pushed to rings
+    Counter switchlessDrains = 0;     ///< descriptors drained in-enclave
+    Counter switchlessFallbacks = 0;  ///< rings abandoned to classic path
+    Counter switchlessPolls = 0;      ///< ring-header polls by pollers
     // --- supervision / epoch fencing ---------------------------------
-    Counter superviseWedges;      ///< wedge conditions flagged
-    Counter superviseEscalations; ///< ladder rungs taken
-    Counter superviseEvacuations; ///< tenants evacuated by the ladder
-    Counter serveWrongEpochs;     ///< stale-epoch requests refused
+    Counter superviseWedges = 0;      ///< wedge conditions flagged
+    Counter superviseEscalations = 0; ///< ladder rungs taken
+    Counter superviseEvacuations = 0; ///< tenants evacuated by the ladder
+    Counter serveWrongEpochs = 0;     ///< stale-epoch requests refused
 };
 
 class StatsSink : public TraceSink {

@@ -83,7 +83,7 @@ TEST_P(GatewayMigration, SessionSurvivesTheMoveWithSequenceContinuity)
     ASSERT_TRUE(engine_.migrateToGateway(*service_, 1).isOk());
     const auto& tenant = *service_->registry().find(1);
     EXPECT_NE(tenant.gatewayIndex, before);
-    EXPECT_EQ(tenant.migrations.load(), 1u);
+    EXPECT_EQ(tenant.migrations, 1u);
     EXPECT_EQ(engine_.stats().gatewayMoves, 1u);
     EXPECT_GT(engine_.stats().pagesDrained, 0u);
     EXPECT_EQ(engine_.stats().latency.count(), 1u);
@@ -184,6 +184,42 @@ TEST_P(GatewayMigration, ExportFaultAbortsBeforeAnyStaging)
     EXPECT_EQ(engine_.stats().rolledBack, 0u);  // nothing was staged
     serveRound(*service_, client, 5, 2);
     EXPECT_EQ(client.failures(), 0u);
+}
+
+TEST_P(GatewayMigration, MoveNeverTakesTheSlotOfATenantAwaitingRebuild)
+{
+    // Two tenants per gateway: 1 and 2 fill gateway 0, 3 opens gateway 1.
+    for (TenantId id : {1, 2, 3}) {
+        ASSERT_TRUE(service_->addTenant(id, Workload::Echo).isOk()) << id;
+    }
+    serve::TenantClient c1(1, Workload::Echo, service_->sessionKeyFor(1));
+    serve::TenantClient c3(3, Workload::Echo, service_->sessionKeyFor(3));
+    serve::TenantRegistry& registry = service_->registry();
+    ASSERT_EQ(registry.find(1)->gatewayIndex, 0u);
+    ASSERT_EQ(registry.find(3)->gatewayIndex, 1u);
+
+    // Tenant 2 leaves gateway 0, then tenant 1's rebuild dies half-way
+    // (its EPC allocation is refused): it keeps its slot, inner-less.
+    ASSERT_TRUE(engine_.migrateToGateway(*service_, 2).isOk());
+    arm("epc-alloc-fail@n=1");
+    serve::TenantHandle& t1 = *registry.find(1);
+    EXPECT_FALSE(service_->pool().rebuildTenant(t1).isOk());
+    ASSERT_EQ(t1.inner, nullptr);
+    world_->machine.setFaultInjector(nullptr);
+
+    // Gateway 0 has room for one tenant, but not in tenant 1's slot.
+    ASSERT_TRUE(engine_.migrateToGateway(*service_, 3).isOk());
+    const serve::TenantHandle& t3 = *registry.find(3);
+    ASSERT_EQ(t3.gatewayIndex, 0u);
+    EXPECT_NE(t3.slot, t1.slot);
+
+    // Tenant 1's rebuild writes its own slot back; both tenants serve.
+    ASSERT_TRUE(service_->pool().rebuildTenant(t1).isOk());
+    c1.onTenantRebuilt();
+    serveRound(*service_, c1, 1, 2);
+    serveRound(*service_, c3, 3, 2);
+    EXPECT_EQ(c1.failures(), 0u);
+    EXPECT_EQ(c3.failures(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(TlbModes, GatewayMigration, ::testing::Bool(),

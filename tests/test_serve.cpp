@@ -2,11 +2,14 @@
  * Serving-layer tests: tenant registry pooling/spillover, batched
  * dispatch transition accounting, admission backpressure and deadline
  * shedding, and correctness under EPC pressure — including an eviction
- * racing a pending NEENTER, in both TLB-tag modes.
+ * racing a pending NEENTER, in both TLB-tag modes — and run-to-run
+ * determinism of the whole serving trace stream.
  */
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "fault/injector.h"
 #include "harness.h"
@@ -186,6 +189,31 @@ TEST(ServeAdmission, DeadlineShedsStaleRequestsAtDequeue)
     EXPECT_EQ(service.admission().shed(), 12u);
     EXPECT_EQ(client.failures(), 0u);
     EXPECT_EQ(service.admission().totalQueued(), 0u);
+}
+
+TEST(ServeAdmission, NearMaxDeadlineShedsNothing)
+{
+    // enqueuedAt + deadline would wrap past 2^64 into the past and shed
+    // every request; the sum saturates instead, so nothing expires.
+    World world;
+    auto sc = smallServiceConfig();
+    sc.pool.batchSize = 4;
+    sc.admission.deadlineCycles = ~std::uint64_t(0) - 1;
+    serve::TenantService service(*world.urts, sc);
+    ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
+    serve::TenantClient client(0, Workload::Echo);
+    ASSERT_GT(world.machine.clock().cycles(), 1u);
+
+    for (int i = 0; i < 16; ++i) {
+        ASSERT_TRUE(service.submit(0, client.nextRequest()).isOk());
+    }
+    service.pump();
+    std::uint64_t verified = 0;
+    for (serve::Completion& done : service.drain()) {
+        if (done.ok && client.onResponse(done.sealedResponse)) ++verified;
+    }
+    EXPECT_EQ(verified, 16u);
+    EXPECT_EQ(service.admission().shed(), 0u);
 }
 
 /** Interleaved submissions from 4 tenants; batches must round-robin
@@ -777,6 +805,93 @@ TEST(ServeCvm, SubtreeEvictAndRebuildRoundTrip)
     serveRound(c1, 1);
     EXPECT_EQ(c0.failures(), 0u);
     EXPECT_EQ(c1.failures(), 0u);
+}
+
+// --- determinism ---------------------------------------------------------
+
+/** Retains every event field-by-field (text copied: it is borrowed). */
+struct RecordingSink : trace::TraceSink {
+    struct Rec {
+        trace::EventKind kind;
+        trace::Leaf leaf;
+        std::uint16_t code;
+        hw::CoreId core;
+        std::uint64_t eid;
+        std::uint64_t time;
+        std::uint64_t arg0;
+        std::uint64_t arg1;
+        std::string text;
+
+        bool operator==(const Rec& o) const
+        {
+            return kind == o.kind && leaf == o.leaf && code == o.code &&
+                   core == o.core && eid == o.eid && time == o.time &&
+                   arg0 == o.arg0 && arg1 == o.arg1 && text == o.text;
+        }
+    };
+    std::vector<Rec> events;
+
+    void onEvent(const trace::TraceEvent& event) override
+    {
+        events.push_back({event.kind, event.leaf, event.code, event.core,
+                          event.eid, event.time, event.arg0, event.arg1,
+                          event.text ? std::string(event.text) : std::string()});
+    }
+};
+
+/** One full serial serve run; returns the recorded trace stream. */
+std::vector<RecordingSink::Rec>
+serialRun()
+{
+    World world;
+    RecordingSink sink;
+    world.machine.trace().subscribe(&sink);
+
+    auto sc = smallServiceConfig();
+    sc.pressure = serve::EpcPressureManager::Config{};
+    serve::TenantService service(*world.urts, sc);
+    const std::vector<Workload> mix = {Workload::Echo, Workload::Sql,
+                                       Workload::Svm};
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+    for (TenantId t = 0; t < 6; ++t) {
+        auto workload = mix[t % mix.size()];
+        EXPECT_TRUE(service.addTenant(t, workload).isOk()) << t;
+        clients.push_back(
+            std::make_unique<serve::TenantClient>(t, workload));
+    }
+    for (int i = 0; i < 4; ++i) {
+        for (TenantId t = 0; t < 6; ++t) {
+            EXPECT_TRUE(
+                service.submit(t, clients[t]->nextRequest()).isOk());
+        }
+    }
+    service.pump();
+    std::uint64_t verified = 0;
+    for (serve::Completion& done : service.drain()) {
+        if (done.ok && clients[done.tenant]->onResponse(done.sealedResponse)) {
+            ++verified;
+        }
+    }
+    EXPECT_EQ(verified, 24u);
+
+    world.machine.trace().unsubscribe(&sink);
+    return std::move(sink.events);
+}
+
+TEST(ThreadingDeterminism, SerialRunsAreByteIdentical)
+{
+    // The determinism contract: two identical runs publish the exact
+    // same event stream — kind, core, cycle stamp, args and text all
+    // equal, in the same order. This is what keeps the golden traces of
+    // test_trace valid.
+    const auto first = serialRun();
+    const auto second = serialRun();
+
+    ASSERT_FALSE(first.empty());
+    ASSERT_EQ(first.size(), second.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        ASSERT_TRUE(first[i] == second[i]) << "event " << i << " diverged";
+    }
 }
 
 }  // namespace

@@ -4,14 +4,10 @@
  * tenant rebuild -> subtree rebuild -> evacuate), placement epochs
  * fence stale clients with Err::WrongEpoch redirects (the
  * NESGX_BUG_EPOCH_STALE mutation breaks exactly that refusal),
- * rollback paths publish no unpaired ServeTenantMigrate events, fault
- * spec typos get "did you mean" diagnostics, and breaker half-open
- * probes race supervisor-driven rebuilds cleanly under 4 real worker
- * threads (the TSan job runs this binary).
+ * rollback paths publish no unpaired ServeTenantMigrate events, and
+ * fault spec typos get "did you mean" diagnostics.
  */
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "fault/injector.h"
 #include "harness.h"
@@ -174,7 +170,7 @@ TEST_F(EpochFencing, StaleEpochIsRefusedTypedAndRedirectRecovers)
     Status stale = service_->submitStamped(1, client.nextStampedRequest());
     world_->machine.trace().unsubscribe(&sink);
     EXPECT_EQ(stale.code(), Err::WrongEpoch);
-    EXPECT_GE(handle->wrongEpochs.load(), 1u);
+    EXPECT_GE(handle->wrongEpochs, 1u);
     EXPECT_EQ(sink.wrongEpochs, 1u);
 
     // Redirect handling: deterministic backoff, re-resolve placement
@@ -443,7 +439,7 @@ TEST(Supervisor, PollerWedgeIsKickedAndTheChannelRearms)
     auto progress = service.switchlessEngine()->channelProgress(1);
     EXPECT_TRUE(progress.armed);
     EXPECT_TRUE(progress.wedged);
-    EXPECT_EQ(service.switchlessEngine()->engineStats().pollerWedges.load(),
+    EXPECT_EQ(service.switchlessEngine()->engineStats().pollerWedges,
               1u);
 
     supervise::Config cfg;
@@ -552,88 +548,6 @@ TEST(Supervisor, DegradedHostEvacuatesTenantsToTheHealthyPeer)
     fleetRound(c2, 2, 4);
     EXPECT_EQ(c1.failures(), 0u);
     EXPECT_EQ(c2.failures(), 0u);
-}
-
-// --- satellite: breaker half-open probe vs concurrent recovery ----------
-
-TEST(SupervisionRace, HalfOpenProbesRaceSupervisorRebuildsUnderFourThreads)
-{
-    // The TSan job runs this: 4 real worker threads drive batches whose
-    // breakers open and half-open probe, while the supervisor thread
-    // (here: the main thread) concurrently ticks — reading breaker
-    // state, rebuilding wedged tenants — against the live pool.
-    auto config = World::smallConfig();
-    config.prmBytes = 24ull << 20;
-    World world(config);
-    world.machine.trace().enableParallel(4);
-
-    auto sc = attestedConfig();
-    sc.registry.tenantsPerOuter = 2;
-    sc.pool.batchSize = 4;
-    sc.pool.maxRetries = 0;  // one transient fault fails the batch
-    sc.pool.breakerThreshold = 1;
-    sc.pool.breakerCooldownCycles = 2000;
-    serve::TenantService service(*world.urts, sc);
-    std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (TenantId t = 0; t < 8; ++t) {
-        ASSERT_TRUE(service.addTenant(t, Workload::Echo).isOk()) << t;
-        clients.push_back(std::make_unique<serve::TenantClient>(
-            t, Workload::Echo, service.sessionKeyFor(t)));
-    }
-
-    // Transient dispatch failures: breakers open on the first failed
-    // batch and half-open probe after a short cooldown.
-    auto plan = fault::FaultPlan::parse("neenter-fail@every=5");
-    ASSERT_TRUE(plan.isOk());
-    fault::FaultInjector injector(plan.value(), 7);
-    world.machine.setFaultInjector(&injector);
-
-    std::uint64_t submitted = 0;
-    for (int round = 0; round < 6; ++round) {
-        for (TenantId t = 0; t < 8; ++t) {
-            if (service.submit(t, clients[t]->nextRequest()).isOk()) {
-                ++submitted;
-            }
-        }
-    }
-
-    supervise::Config cfg;
-    cfg.wedgeTicks = 1;
-    cfg.rungPatience = 1;
-    supervise::Supervisor supervisor(service, cfg);
-
-    std::thread pool([&] { service.pumpParallel(4); });
-    for (int i = 0; i < 200; ++i) {
-        supervisor.tick();
-        (void)service.pool().breakerOpen(TenantId(i % 8));
-    }
-    pool.join();
-
-    // Post-race: lift the faults, let every open breaker's cooldown
-    // lapse so half-open probes succeed, and drain serially. Every
-    // submitted request must then be accounted for — a completion,
-    // typed or verified, never a silent drop.
-    world.machine.setFaultInjector(nullptr);
-    for (int i = 0; i < 8 && service.admission().totalQueued() > 0; ++i) {
-        world.machine.charge(sc.pool.breakerCooldownCycles + 1);
-        service.pump();
-    }
-    EXPECT_EQ(service.admission().totalQueued(), 0u);
-    std::uint64_t completions = 0;
-    std::uint64_t silentEmpties = 0;
-    for (auto& done : service.drain()) {
-        ++completions;
-        if (done.ok) {
-            (void)clients[done.tenant]->onResponse(done.sealedResponse);
-        } else if (done.sealedResponse.empty() &&
-                   done.status.isOk()) {
-            ++silentEmpties;
-        }
-    }
-    EXPECT_EQ(completions, submitted);
-    EXPECT_EQ(silentEmpties, 0u);
-    EXPECT_GT(service.pool().breakerOpens(), 0u);
-    world.machine.trace().disableParallel();
 }
 
 }  // namespace
