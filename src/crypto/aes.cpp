@@ -7,80 +7,76 @@ namespace nesgx::crypto {
 
 namespace {
 
-// S-box generated from the AES definition (multiplicative inverse in
-// GF(2^8) followed by the affine transform); table computed at startup so
-// the source carries the construction, not 256 magic numbers.
-struct SboxTables {
-    std::uint8_t sbox[256];
-    std::uint8_t inv[256];
-
-    SboxTables()
-    {
-        // Build log/alog tables over GF(2^8) with generator 3.
-        std::uint8_t alog[256];
-        std::uint8_t log[256] = {0};
-        std::uint8_t x = 1;
-        for (int i = 0; i < 255; ++i) {
-            alog[i] = x;
-            log[x] = static_cast<std::uint8_t>(i);
-            // multiply by generator 0x03 = x ^ (x * 2)
-            std::uint8_t x2 = static_cast<std::uint8_t>(
-                (x << 1) ^ ((x & 0x80) ? 0x1b : 0));
-            x = static_cast<std::uint8_t>(x2 ^ x);
-        }
-        alog[255] = alog[0];
-
-        for (int i = 0; i < 256; ++i) {
-            std::uint8_t q = (i == 0)
-                ? 0
-                : alog[(255 - log[static_cast<std::uint8_t>(i)]) % 255];
-            // Affine transform.
-            std::uint8_t s = static_cast<std::uint8_t>(
-                q ^ rotl8(q, 1) ^ rotl8(q, 2) ^ rotl8(q, 3) ^ rotl8(q, 4) ^
-                0x63);
-            sbox[i] = s;
-            inv[s] = static_cast<std::uint8_t>(i);
-        }
-    }
-
-    static std::uint8_t rotl8(std::uint8_t v, int n)
-    {
-        return static_cast<std::uint8_t>((v << n) | (v >> (8 - n)));
-    }
-};
-
-const SboxTables& tables()
+constexpr std::uint8_t
+rotl8(std::uint8_t v, int n)
 {
-    static const SboxTables t;
-    return t;
+    return static_cast<std::uint8_t>((v << n) | (v >> (8 - n)));
 }
 
-std::uint8_t
+constexpr std::uint8_t
 xtime(std::uint8_t a)
 {
     return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
 }
 
-std::uint8_t
-gmul(std::uint8_t a, std::uint8_t b)
+constexpr std::uint32_t
+rotr8(std::uint32_t w)
 {
-    std::uint8_t p = 0;
-    for (int i = 0; i < 8; ++i) {
-        if (b & 1) p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
+    return (w >> 8) | (w << 24);
 }
+
+// S-box generated from the AES definition (multiplicative inverse in
+// GF(2^8) followed by the affine transform), and the four encryption
+// T-tables derived from it. Evaluated at compile time, so the source
+// carries the construction, not 1280 magic numbers.
+//
+// te[0][x] is the MixColumns column (2, 1, 1, 3) * S(x), big-endian: the
+// contribution of a row-0 byte to its output column. te[r] is te[0]
+// rotated right by 8r bits, the contribution of a row-r byte.
+struct AesTables {
+    std::uint8_t sbox[256] = {};
+    std::uint32_t te[4][256] = {};
+
+    constexpr AesTables()
+    {
+        // Build log/alog tables over GF(2^8) with generator 3.
+        std::uint8_t alog[256] = {};
+        std::uint8_t log[256] = {};
+        std::uint8_t x = 1;
+        for (int i = 0; i < 255; ++i) {
+            alog[i] = x;
+            log[x] = static_cast<std::uint8_t>(i);
+            x = static_cast<std::uint8_t>(xtime(x) ^ x);  // x * 0x03
+        }
+        alog[255] = alog[0];
+
+        for (int i = 0; i < 256; ++i) {
+            std::uint8_t q = (i == 0) ? 0 : alog[(255 - log[i]) % 255];
+            // Affine transform.
+            std::uint8_t s = static_cast<std::uint8_t>(
+                q ^ rotl8(q, 1) ^ rotl8(q, 2) ^ rotl8(q, 3) ^ rotl8(q, 4) ^
+                0x63);
+            sbox[i] = s;
+            std::uint8_t s2 = xtime(s);
+            std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
+            std::uint32_t col = (std::uint32_t(s2) << 24) |
+                                (std::uint32_t(s) << 16) |
+                                (std::uint32_t(s) << 8) | s3;
+            for (int r = 0; r < 4; ++r, col = rotr8(col)) te[r][i] = col;
+        }
+    }
+};
+
+constexpr AesTables kTables;
 
 std::uint32_t
 subWord(std::uint32_t w)
 {
-    const auto& t = tables();
-    return (std::uint32_t(t.sbox[(w >> 24) & 0xff]) << 24) |
-           (std::uint32_t(t.sbox[(w >> 16) & 0xff]) << 16) |
-           (std::uint32_t(t.sbox[(w >> 8) & 0xff]) << 8) |
-           std::uint32_t(t.sbox[w & 0xff]);
+    const auto& sbox = kTables.sbox;
+    return (std::uint32_t(sbox[(w >> 24) & 0xff]) << 24) |
+           (std::uint32_t(sbox[(w >> 16) & 0xff]) << 16) |
+           (std::uint32_t(sbox[(w >> 8) & 0xff]) << 8) |
+           std::uint32_t(sbox[w & 0xff]);
 }
 
 std::uint32_t
@@ -114,7 +110,7 @@ Aes::expandKey(ByteView key)
         std::uint32_t temp = roundKeys_[i - 1];
         if (i % nk == 0) {
             temp = subWord(rotWord(temp)) ^ rcon;
-            rcon = std::uint32_t(gmul(std::uint8_t(rcon >> 24), 2)) << 24;
+            rcon = std::uint32_t(xtime(std::uint8_t(rcon >> 24))) << 24;
         } else if (nk > 6 && i % nk == 4) {
             temp = subWord(temp);
         }
@@ -125,124 +121,48 @@ Aes::expandKey(ByteView key)
 void
 Aes::encryptBlock(std::uint8_t* block) const
 {
-    const auto& t = tables();
-    std::uint8_t s[16];
-    std::memcpy(s, block, 16);
+    const auto& te = kTables.te;
+    const std::uint32_t* rk = roundKeys_;
+    // State as four big-endian column words; byte r of column c is row r.
+    std::uint32_t s0 = loadBe32(block) ^ rk[0];
+    std::uint32_t s1 = loadBe32(block + 4) ^ rk[1];
+    std::uint32_t s2 = loadBe32(block + 8) ^ rk[2];
+    std::uint32_t s3 = loadBe32(block + 12) ^ rk[3];
 
-    auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            std::uint32_t k = roundKeys_[4 * round + c];
-            s[4 * c + 0] ^= std::uint8_t(k >> 24);
-            s[4 * c + 1] ^= std::uint8_t(k >> 16);
-            s[4 * c + 2] ^= std::uint8_t(k >> 8);
-            s[4 * c + 3] ^= std::uint8_t(k);
-        }
+    // One full round: output column c takes row r from column c + r
+    // (ShiftRows); the T-tables do SubBytes and MixColumns.
+    auto column = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                      std::uint32_t d, std::uint32_t k) {
+        return te[0][a >> 24] ^ te[1][(b >> 16) & 0xff] ^
+               te[2][(c >> 8) & 0xff] ^ te[3][d & 0xff] ^ k;
     };
-
-    auto subBytes = [&]() {
-        for (auto& b : s) b = t.sbox[b];
-    };
-
-    auto shiftRows = [&]() {
-        std::uint8_t tmp[16];
-        for (int r = 0; r < 4; ++r) {
-            for (int c = 0; c < 4; ++c) {
-                tmp[4 * c + r] = s[4 * ((c + r) % 4) + r];
-            }
-        }
-        std::memcpy(s, tmp, 16);
-    };
-
-    auto mixColumns = [&]() {
-        // xtime-based forms: 2a = xtime(a), 3a = xtime(a) ^ a.
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t* col = s + 4 * c;
-            std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            std::uint8_t all = std::uint8_t(a0 ^ a1 ^ a2 ^ a3);
-            col[0] = std::uint8_t(a0 ^ all ^ xtime(std::uint8_t(a0 ^ a1)));
-            col[1] = std::uint8_t(a1 ^ all ^ xtime(std::uint8_t(a1 ^ a2)));
-            col[2] = std::uint8_t(a2 ^ all ^ xtime(std::uint8_t(a2 ^ a3)));
-            col[3] = std::uint8_t(a3 ^ all ^ xtime(std::uint8_t(a3 ^ a0)));
-        }
-    };
-
-    addRoundKey(0);
     for (int round = 1; round < rounds_; ++round) {
-        subBytes();
-        shiftRows();
-        mixColumns();
-        addRoundKey(round);
+        rk += 4;
+        std::uint32_t t0 = column(s0, s1, s2, s3, rk[0]);
+        std::uint32_t t1 = column(s1, s2, s3, s0, rk[1]);
+        std::uint32_t t2 = column(s2, s3, s0, s1, rk[2]);
+        std::uint32_t t3 = column(s3, s0, s1, s2, rk[3]);
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
     }
-    subBytes();
-    shiftRows();
-    addRoundKey(rounds_);
 
-    std::memcpy(block, s, 16);
-}
-
-void
-Aes::decryptBlock(std::uint8_t* block) const
-{
-    const auto& t = tables();
-    std::uint8_t s[16];
-    std::memcpy(s, block, 16);
-
-    auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            std::uint32_t k = roundKeys_[4 * round + c];
-            s[4 * c + 0] ^= std::uint8_t(k >> 24);
-            s[4 * c + 1] ^= std::uint8_t(k >> 16);
-            s[4 * c + 2] ^= std::uint8_t(k >> 8);
-            s[4 * c + 3] ^= std::uint8_t(k);
-        }
+    // Final round: SubBytes and ShiftRows, no MixColumns.
+    rk += 4;
+    const auto& sbox = kTables.sbox;
+    auto lastColumn = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                          std::uint32_t d, std::uint32_t k) {
+        return ((std::uint32_t(sbox[a >> 24]) << 24) |
+                (std::uint32_t(sbox[(b >> 16) & 0xff]) << 16) |
+                (std::uint32_t(sbox[(c >> 8) & 0xff]) << 8) |
+                std::uint32_t(sbox[d & 0xff])) ^
+               k;
     };
-
-    auto invSubBytes = [&]() {
-        for (auto& b : s) b = t.inv[b];
-    };
-
-    auto invShiftRows = [&]() {
-        std::uint8_t tmp[16];
-        for (int r = 0; r < 4; ++r) {
-            for (int c = 0; c < 4; ++c) {
-                tmp[4 * ((c + r) % 4) + r] = s[4 * c + r];
-            }
-        }
-        std::memcpy(s, tmp, 16);
-    };
-
-    auto invMixColumns = [&]() {
-        // Decomposition: apply the forward MixColumns preceded by the
-        // standard (xtime-only) correction with 4a and 8a terms.
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t* col = s + 4 * c;
-            std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            std::uint8_t u = xtime(xtime(std::uint8_t(a0 ^ a2)));
-            std::uint8_t v = xtime(xtime(std::uint8_t(a1 ^ a3)));
-            a0 ^= u;
-            a1 ^= v;
-            a2 ^= u;
-            a3 ^= v;
-            std::uint8_t all = std::uint8_t(a0 ^ a1 ^ a2 ^ a3);
-            col[0] = std::uint8_t(a0 ^ all ^ xtime(std::uint8_t(a0 ^ a1)));
-            col[1] = std::uint8_t(a1 ^ all ^ xtime(std::uint8_t(a1 ^ a2)));
-            col[2] = std::uint8_t(a2 ^ all ^ xtime(std::uint8_t(a2 ^ a3)));
-            col[3] = std::uint8_t(a3 ^ all ^ xtime(std::uint8_t(a3 ^ a0)));
-        }
-    };
-
-    addRoundKey(rounds_);
-    invShiftRows();
-    invSubBytes();
-    for (int round = rounds_ - 1; round >= 1; --round) {
-        addRoundKey(round);
-        invMixColumns();
-        invShiftRows();
-        invSubBytes();
-    }
-    addRoundKey(0);
-
-    std::memcpy(block, s, 16);
+    storeBe32(block, lastColumn(s0, s1, s2, s3, rk[0]));
+    storeBe32(block + 4, lastColumn(s1, s2, s3, s0, rk[1]));
+    storeBe32(block + 8, lastColumn(s2, s3, s0, s1, rk[2]));
+    storeBe32(block + 12, lastColumn(s3, s0, s1, s2, rk[3]));
 }
 
 void

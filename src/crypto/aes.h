@@ -1,9 +1,18 @@
 /**
- * AES-128/256 block cipher and AES-CTR mode (FIPS 197 / SP 800-38A).
+ * AES-128/256 block cipher (encryption only) and AES-CTR mode (FIPS 197 /
+ * SP 800-38A).
  *
- * The block cipher backs the AES-GCM channel baseline (paper §VI-C) and the
- * memory encryption engine model (per-cacheline AES-CTR, following the MEE
- * design sketch in Gueron's MEE paper cited by the reproduction target).
+ * The block cipher backs AES-GCM: the AES-GCM channel baseline (paper
+ * §VI-C), EWB/ELDU page sealing, and client/SDK sealing. The memory
+ * encryption engine is not built on it: the MEE is modeled by cycle cost
+ * only (`CostModel::meeLine`) and `src/hw` runs no cryptography.
+ *
+ * Encryption is table-driven: four 256-entry T-tables that fold SubBytes,
+ * ShiftRows and MixColumns into lookups on 32-bit column words. The
+ * lookups are indexed by key- and data-dependent bytes, so the kernel is
+ * not constant-time. Host speed never reaches a simulated figure: sim
+ * cycles for crypto come from `CostModel`, not from how fast this code
+ * runs.
  */
 #pragma once
 
@@ -26,9 +35,6 @@ class Aes {
 
     /** Encrypts one 16-byte block in place. */
     void encryptBlock(std::uint8_t* block) const;
-
-    /** Decrypts one 16-byte block in place. */
-    void decryptBlock(std::uint8_t* block) const;
 
     int rounds() const { return rounds_; }
 

@@ -4,7 +4,15 @@
  * This is the software-encryption baseline the paper compares against for
  * enclave-to-enclave communication through untrusted memory (§VI-C,
  * Fig. 11): "we use AES-GCM for the protected communication between
- * monolithic enclaves".
+ * monolithic enclaves". The same class seals EWB/ELDU pages, client
+ * messages, SDK sealed data and migration rewraps.
+ *
+ * GHASH uses Shoup's 4-bit table: each key precomputes the 16 products
+ * i * H, and a block multiply is 32 nibble lookups plus a shared 16-entry
+ * reduction table. Those lookups, like the AES T-tables, are indexed by
+ * secret-dependent values, so the host kernels are not constant-time.
+ * Their speed never reaches a simulated figure: the sim cycles of GCM and
+ * paging come from `CostModel` (`gcmMessage`, `ewbPage`, `elduPage`).
  */
 #pragma once
 
@@ -37,9 +45,14 @@ class AesGcm {
 
   private:
     void ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const;
+    /** y <- y * H in GF(2^128); (hi, lo) are y's big-endian halves. */
+    void mulH(std::uint64_t& hi, std::uint64_t& lo) const;
 
     Aes aes_;
-    std::uint8_t h_[16];  // GHASH subkey E(0^128)
+    // Shoup table of the GHASH subkey H = E(0^128): entry i holds i * H,
+    // where nibble i's bit 3 is the lowest-degree coefficient.
+    std::uint64_t hTableHi_[16];
+    std::uint64_t hTableLo_[16];
 };
 
 }  // namespace nesgx::crypto

@@ -95,32 +95,4 @@ loadLe64(const std::uint8_t* p)
     return v;
 }
 
-void
-storeBe32(std::uint8_t* p, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * (3 - i)));
-}
-
-void
-storeBe64(std::uint8_t* p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
-}
-
-std::uint32_t
-loadBe32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-loadBe64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-    return v;
-}
-
 }  // namespace nesgx

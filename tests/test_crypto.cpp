@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "crypto/aes.h"
 #include "crypto/bignum.h"
 #include "crypto/gcm.h"
@@ -97,8 +99,6 @@ TEST(Aes, Fips197Aes128)
     Bytes block = fromHex("00112233445566778899aabbccddeeff");
     aes.encryptBlock(block.data());
     EXPECT_EQ(toHex(block), "69c4e0d86a7b0430d8cdb78070b4c55a");
-    aes.decryptBlock(block.data());
-    EXPECT_EQ(toHex(block), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes, Fips197Aes256)
@@ -108,8 +108,6 @@ TEST(Aes, Fips197Aes256)
     Bytes block = fromHex("00112233445566778899aabbccddeeff");
     aes.encryptBlock(block.data());
     EXPECT_EQ(toHex(block), "8ea2b7ca516745bfeafc49904b496089");
-    aes.decryptBlock(block.data());
-    EXPECT_EQ(toHex(block), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes, RejectsBadKeySize)
@@ -198,6 +196,162 @@ TEST(AesGcm, EmptyPlaintext)
     Bytes sealed = gcm.seal(iv, {}, {});
     EXPECT_EQ(sealed.size(), kGcmTagSize);
     EXPECT_TRUE(gcm.open(iv, {}, sealed).isOk());
+}
+
+TEST(AesGcm, NistCase15Aes256)
+{
+    AesGcm gcm(fromHex(
+        "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308"));
+    Bytes iv = fromHex("cafebabefacedbaddecaf888");
+    Bytes plain = fromHex(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+        "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
+    Bytes sealed = gcm.seal(iv, {}, plain);
+    EXPECT_EQ(toHex(ByteView(sealed.data(), plain.size())),
+              "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+              "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad");
+    EXPECT_EQ(toHex(ByteView(sealed.data() + plain.size(), 16)),
+              "b094dac5d93471bdec1a502270e3cc6c");
+    auto opened = gcm.open(iv, {}, sealed);
+    ASSERT_TRUE(opened.isOk());
+    EXPECT_EQ(opened.value(), plain);
+}
+
+// 20-byte AAD: one full GHASH block and a partial one.
+TEST(AesGcm, NistCase16Aes256WithAad)
+{
+    AesGcm gcm(fromHex(
+        "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308"));
+    Bytes iv = fromHex("cafebabefacedbaddecaf888");
+    Bytes plain = fromHex(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+        "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+    Bytes aad = fromHex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+    Bytes sealed = gcm.seal(iv, aad, plain);
+    EXPECT_EQ(toHex(ByteView(sealed.data(), plain.size())),
+              "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+              "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662");
+    EXPECT_EQ(toHex(ByteView(sealed.data() + plain.size(), 16)),
+              "76fc6ece0f4e1768cddf8853bb2d551b");
+    auto opened = gcm.open(iv, aad, sealed);
+    ASSERT_TRUE(opened.isOk());
+    EXPECT_EQ(opened.value(), plain);
+}
+
+// --- AES-GCM against a bit-serial reference --------------------------------
+
+/** Reference GF(2^128) multiply, one bit per step (SP 800-38D Alg. 1). */
+void
+refGfMul(std::uint8_t x[16], const std::uint8_t y[16])
+{
+    std::uint64_t zh = 0, zl = 0;
+    std::uint64_t vh = loadBe64(y);
+    std::uint64_t vl = loadBe64(y + 8);
+    for (int i = 0; i < 128; ++i) {
+        if ((x[i / 8] >> (7 - i % 8)) & 1) {
+            zh ^= vh;
+            zl ^= vl;
+        }
+        bool lsb = vl & 1;
+        vl = (vl >> 1) | (vh << 63);
+        vh >>= 1;
+        if (lsb) vh ^= 0xe100000000000000ull;
+    }
+    storeBe64(x, zh);
+    storeBe64(x + 8, zl);
+}
+
+/** Reference GCM seal built from the block cipher, CTR and refGfMul. */
+Bytes
+refGcmSeal(ByteView key, ByteView iv, ByteView aad, ByteView plain)
+{
+    Aes aes(key);
+    std::uint8_t h[16] = {};
+    aes.encryptBlock(h);
+
+    AesBlock j0{};
+    std::memcpy(j0.data(), iv.data(), 12);
+    j0[15] = 1;
+    AesBlock ctr = j0;
+    ctr[15] = 2;
+    Bytes out(plain.size() + kGcmTagSize);
+    aesCtrXcrypt(aes, ctr, plain, out.data());
+
+    std::uint8_t s[16] = {};
+    auto absorb = [&](ByteView data) {
+        for (std::size_t off = 0; off < data.size(); off += 16) {
+            for (std::size_t i = 0; i < 16 && off + i < data.size(); ++i) {
+                s[i] ^= data[off + i];
+            }
+            refGfMul(s, h);
+        }
+    };
+    absorb(aad);
+    absorb(ByteView(out.data(), plain.size()));
+    std::uint8_t lengths[16];
+    storeBe64(lengths, std::uint64_t(aad.size()) * 8);
+    storeBe64(lengths + 8, std::uint64_t(plain.size()) * 8);
+    absorb(ByteView(lengths, 16));
+
+    std::uint8_t ek0[16];
+    std::memcpy(ek0, j0.data(), 16);
+    aes.encryptBlock(ek0);
+    for (int i = 0; i < 16; ++i) out[plain.size() + i] = s[i] ^ ek0[i];
+    return out;
+}
+
+Bytes
+patternBytes(std::size_t len, std::uint8_t seed)
+{
+    Bytes b(len);
+    for (std::size_t i = 0; i < len; ++i) {
+        b[i] = std::uint8_t(seed + 31 * i + (i >> 8));
+    }
+    return b;
+}
+
+TEST(AesGcm, MatchesBitSerialReference)
+{
+    Bytes iv = fromHex("000102030405060708090a0b");
+    for (std::size_t keyLen : {16u, 32u}) {
+        Bytes key = patternBytes(keyLen, 0x5a);
+        AesGcm gcm(key);
+        for (std::size_t aadLen = 0; aadLen <= 48; ++aadLen) {
+            for (std::size_t len :
+                 {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 4095u, 4096u, 4097u}) {
+                Bytes aad = patternBytes(aadLen, 0xa5);
+                Bytes plain = patternBytes(len, std::uint8_t(len));
+                Bytes sealed = gcm.seal(iv, aad, plain);
+                ASSERT_EQ(sealed, refGcmSeal(key, iv, aad, plain))
+                    << "key=" << keyLen << " aad=" << aadLen
+                    << " len=" << len;
+                auto opened = gcm.open(iv, aad, sealed);
+                ASSERT_TRUE(opened.isOk());
+                EXPECT_EQ(opened.value(), plain);
+            }
+        }
+    }
+}
+
+TEST(AesGcm, OpenRefusesEveryBitFlipOfAPage)
+{
+    AesGcm gcm(patternBytes(16, 0x77));
+    Bytes iv(12, 0x09);
+    Bytes aad = patternBytes(8, 0x01);
+    Bytes sealed = gcm.seal(iv, aad, patternBytes(4096, 0x42));
+    ASSERT_EQ(sealed.size(), 4096 + kGcmTagSize);
+    // One flip in each 16-byte ciphertext block, walking the byte and bit
+    // lanes, then one in every tag byte.
+    std::vector<std::size_t> flips;
+    for (std::size_t block = 0; block < 4096 / 16; ++block) {
+        flips.push_back(16 * block + block % 16);
+    }
+    for (std::size_t i = 4096; i < sealed.size(); ++i) flips.push_back(i);
+    for (std::size_t pos : flips) {
+        Bytes corrupt = sealed;
+        corrupt[pos] ^= std::uint8_t(1u << (pos % 8));
+        EXPECT_FALSE(gcm.open(iv, aad, corrupt).isOk()) << "byte=" << pos;
+    }
 }
 
 // --- BigUint ---------------------------------------------------------------
