@@ -66,6 +66,7 @@
  * host B) — detection latency, evacuation p50/p95 and time to full
  * recovery are reported, and every response must still verify.
  */
+#include <chrono>
 #include <memory>
 #include <set>
 
@@ -275,7 +276,7 @@ main(int argc, char** argv)
     JsonReport json(flags);
     flags.finish();
 
-    header("Serve bench 1/9: NEENTER per request vs worker batch size");
+    header("Serve bench 1/10: NEENTER per request vs worker batch size");
     note("closed loop, ample EPC; one EENTER+NEENTER per dispatched batch,");
     note("so transitions per request fall as batch occupancy rises");
     std::printf("\n  %6s %10s %12s %12s %14s %10s %10s\n", "batch", "verified",
@@ -304,7 +305,7 @@ main(int argc, char** argv)
                     (unsigned long long)r.latency.p99());
         json.set("neenter_per_req_batch" + std::to_string(batch), perReq);
         // Per-mode EENTER+NEENTER per request (post-arming snapshot),
-        // the axis the switchless ablation in section 5/9 completes:
+        // the axis the switchless ablation in section 5/10 completes:
         // batch-1 is the classic one-transition-pair-per-request mode,
         // batch-8 the amortized mode.
         if (batch == 1) {
@@ -320,7 +321,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 2/9: open-loop burst arrivals with deadlines");
+    header("Serve bench 2/10: open-loop burst arrivals with deadlines");
     note("the whole request volume arrives before the pool runs; bounded");
     note("queues push back (Err::Backpressure) and queued requests that");
     note("outlive their deadline are shed at dequeue, never dispatched");
@@ -349,7 +350,7 @@ main(int argc, char** argv)
         json.set("open_loop_p99_cycles", double(r.latency.p99()));
     }
 
-    header("Serve bench 3/9: correctness under EPC pressure");
+    header("Serve bench 3/10: correctness under EPC pressure");
     note("4x the tenants on a small EPC: the pressure manager pages cold");
     note("idle tenants out (EBLOCK/ETRACK/EWB) and the registry reloads");
     note("them transparently (ELDU); every sealed response must still");
@@ -375,7 +376,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 4/9: chaos — fault injection and self-healing");
+    header("Serve bench 4/10: chaos — fault injection and self-healing");
     note("the EPC-pressure scenario with the deterministic fault injector");
     note("armed: storage corruption, refused leaves, allocator failures and");
     note("interrupt storms; the pool retries transients, rebuilds poisoned");
@@ -419,7 +420,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 5/9: switchless ablation — killing the transition tax");
+    header("Serve bench 5/10: switchless ablation — killing the transition tax");
     note("the 4x-oversubscribed tenant fleet again, dispatched over the");
     note("exit-less ring channels: pollers park once up front (classic");
     note("EENTER/NEENTER, before the metric snapshot), then the steady");
@@ -457,7 +458,7 @@ main(int argc, char** argv)
         if (!exitless(r, "switchless")) return 1;
     }
 
-    header("Serve bench 6/9: depth-3 CVM tree — nesting the whole fleet");
+    header("Serve bench 6/10: depth-3 CVM tree — nesting the whole fleet");
     note("--topology cvm: one depth-1 CVM root hosts every gateway as a");
     note("depth-2 inner and tenants serve at depth 3 (paper §VIII). The");
     note("oversubscribed fleet again, dispatched over per-hop switchless");
@@ -492,7 +493,7 @@ main(int argc, char** argv)
         if (!exitless(r, "cvm")) return 1;
     }
 
-    header("Serve bench 7/9: live migration — two hosts, one sealed session");
+    header("Serve bench 7/10: live migration — two hosts, one sealed session");
     note("the 24-tenant 4x-oversubscribed fleet split across two simulated");
     note("host Machines (distinct root keys) behind a Fleet router; every");
     note("tenant live-migrates to a different gateway mid-run and a rolling");
@@ -615,7 +616,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 8/9: chaos x topology — CVM tree under fault storm");
+    header("Serve bench 8/10: chaos x topology — CVM tree under fault storm");
     note("the depth-3 CVM fleet with the fault injector armed (paging");
     note("corruption, refused leaves, allocator failures, interrupt storms");
     note("AND migrate-stage faults) while live migrations fire mid-storm:");
@@ -656,7 +657,7 @@ main(int argc, char** argv)
         }
     }
 
-    header("Serve bench 9/9: failure-domain supervision — evacuation "
+    header("Serve bench 9/10: failure-domain supervision — evacuation "
            "under chaos");
     note("the two-host fleet again, now with a per-host supervisor watching");
     note("heartbeat counters: mid-run the injector crashes a gateway on");
@@ -905,6 +906,43 @@ main(int argc, char** argv)
                          (unsigned long long)redirects,
                          sa.detectionLatency.count(),
                          sa.evacuationLatency.count());
+            return 1;
+        }
+    }
+
+    header("Serve bench 10/10: tenant sweep — victim search at fleet scale");
+    note("two requests per tenant at nesgx_serve's default EPC: every");
+    note("cold batch reloads its tenant and the pressure manager searches");
+    note("the kernel LRU for a victim among hundreds of enclaves, so wall");
+    note("ms per tenant stays flat only if each pick is O(1) amortised");
+    std::printf("\n  %8s %10s %12s %14s %16s\n", "tenants", "verified",
+                "wall ms", "ms/tenant", "sim cyc/req");
+    for (std::uint64_t n : {100, 250, 500}) {
+        serve::Scenario scenario;
+        scenario.tenants = n;
+        scenario.requests = 2 * n;
+        const auto wallBefore = std::chrono::steady_clock::now();
+        const serve::ScenarioResult r = runScenario(scenario);
+        const double wallMs =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - wallBefore)
+                .count();
+        const double msPerTenant = wallMs / double(n);
+        const double cyclesPerReq = double(r.simCycles) / double(r.submitted);
+        std::printf("  %8llu %10llu %12.0f %14.2f %16.0f\n",
+                    (unsigned long long)n, (unsigned long long)r.verified,
+                    wallMs, msPerTenant, cyclesPerReq);
+        const std::string key = "sweep_t" + std::to_string(n);
+        json.set(key + "_ms_per_tenant", msPerTenant);
+        json.set(key + "_sim_cycles_per_req", cyclesPerReq);
+        if (r.failures > 0 || r.verified != r.submitted) {
+            std::fprintf(stderr,
+                         "FAIL: tenant sweep at %llu tenants verified "
+                         "%llu/%llu (%llu integrity failures)\n",
+                         (unsigned long long)n,
+                         (unsigned long long)r.verified,
+                         (unsigned long long)r.submitted,
+                         (unsigned long long)r.failures);
             return 1;
         }
     }

@@ -1,6 +1,5 @@
 #include "os/kernel.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "fault/injector.h"
@@ -128,6 +127,7 @@ Kernel::createEnclave(Pid pid, hw::Vaddr base, std::uint64_t size,
     rec.secsPage = secsPage.value();
     rec.createSeq = nextCreateSeq_++;
     rec.lastUseTick = ++useTick_;
+    rec.lruPos = lru_.insert(lru_.end(), secsPage.value());
     enclaves_[secsPage.value()] = std::move(rec);
     return secsPage.value();
 }
@@ -210,7 +210,7 @@ Kernel::destroyEnclave(hw::Paddr secsPage)
         return bst;
     }
     freeEpcPage(secsPage);
-    enclaves_.erase(it);
+    forgetEnclave(it);
     publishOs(machine_, trace::EventKind::OsDestroyEnd, secsPage);
     return Status::ok();
 #endif
@@ -255,9 +255,16 @@ Kernel::destroyEnclave(hw::Paddr secsPage)
         return firstError.isOk() ? st : firstError;
     }
     freeEpcPage(secsPage);
-    enclaves_.erase(it);
+    forgetEnclave(it);
     publishOs(machine_, trace::EventKind::OsDestroyEnd, secsPage);
     return firstError;
+}
+
+void
+Kernel::forgetEnclave(std::map<hw::Paddr, EnclaveRecord>::iterator it)
+{
+    lru_.erase(it->second.lruPos);
+    enclaves_.erase(it);
 }
 
 Status
@@ -341,41 +348,33 @@ Kernel::touchEnclave(hw::Paddr secsPage)
     auto it = enclaves_.find(secsPage);
     if (it == enclaves_.end()) return;
     it->second.lastUseTick = ++useTick_;
+    lru_.splice(lru_.end(), lru_, it->second.lruPos);
 }
 
 std::vector<hw::Paddr>
 Kernel::evictionCandidates() const
 {
-    std::vector<const EnclaveRecord*> recs;
-    recs.reserve(enclaves_.size());
-    for (const auto& [secs, rec] : enclaves_) {
-        if (!rec.pages.empty()) recs.push_back(&rec);
-    }
-    std::sort(recs.begin(), recs.end(),
-              [](const EnclaveRecord* a, const EnclaveRecord* b) {
-                  if (a->lastUseTick != b->lastUseTick) {
-                      return a->lastUseTick < b->lastUseTick;
-                  }
-                  if (a->createSeq != b->createSeq) {
-                      return a->createSeq < b->createSeq;
-                  }
-                  return a->secsPage < b->secsPage;
-              });
     std::vector<hw::Paddr> out;
-    out.reserve(recs.size());
-    for (const EnclaveRecord* rec : recs) out.push_back(rec->secsPage);
+    for (hw::Paddr secs : lru_) {
+        if (!enclaves_.at(secs).pages.empty()) out.push_back(secs);
+    }
     return out;
 }
 
 Result<hw::Paddr>
-Kernel::pickEvictVictim(const std::function<bool(hw::Paddr)>& eligible)
+Kernel::pickEvictVictim(const std::function<bool(hw::Paddr)>& eligible,
+                        hw::Paddr from)
 {
-    for (hw::Paddr secs : evictionCandidates()) {
-        if (eligible && !eligible(secs)) continue;
+    auto pos = lru_.begin();
+    if (from != 0) pos = enclaves_.at(from).lruPos;
+    for (; pos != lru_.end(); ++pos) {
+        const EnclaveRecord& rec = enclaves_.at(*pos);
+        if (rec.pages.empty()) continue;
+        if (eligible && !eligible(*pos)) continue;
         machine_.trace().publishLight(trace::EventKind::OsVictimPick,
-                                      trace::kNoCore, 0, secs,
-                                      enclaves_.at(secs).lastUseTick);
-        return secs;
+                                      trace::kNoCore, 0, *pos,
+                                      rec.lastUseTick);
+        return *pos;
     }
     return Err::NotFound;
 }

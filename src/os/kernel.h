@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <vector>
@@ -26,11 +27,13 @@ struct EnclaveRecord {
     std::map<hw::Vaddr, hw::Paddr> pages;
     /** Evicted pages parked in (untrusted) kernel memory. */
     std::map<hw::Vaddr, sgx::EvictedPage> evicted;
-    /** Creation order (age tie-break for victim selection). */
+    /** Creation order (ticks never tie, so the LRU needs no tie-break). */
     std::uint64_t createSeq = 0;
     /** Last-use tick: bumped by `touchEnclave` (the runtimes call it on
      *  every entry), so victim selection can be genuinely LRU. */
     std::uint64_t lastUseTick = 0;
+    /** This enclave's node in the kernel's LRU list. */
+    std::list<hw::Paddr>::iterator lruPos;
     /** Pages this enclave has had evicted over its lifetime (stat). */
     std::uint64_t evictCount = 0;
 };
@@ -98,18 +101,25 @@ class Kernel {
 
     /**
      * SECS PAs of every enclave with at least one resident (non-SECS)
-     * page, sorted coldest-first: by last-use tick, then creation order,
-     * then SECS PA. Fully deterministic; no map-iteration-order luck.
+     * page, coldest first. Every create and touch takes a fresh tick and
+     * moves the enclave to the hot end of the LRU list, so list order is
+     * last-use-tick order and ticks never tie. Fully deterministic.
      */
     std::vector<hw::Paddr> evictionCandidates() const;
 
     /**
      * Picks the coldest eviction candidate accepted by `eligible`
-     * (pass nullptr to accept all). Publishes an OsVictimPick event and
-     * returns the chosen SECS PA, or NotFound if nothing qualifies.
+     * (pass nullptr to accept all), walking the LRU list in place.
+     * A nonzero `from` names a live enclave to start the walk at
+     * instead of the cold end: a caller that picks repeatedly while
+     * nothing is touched or reloaded, and whose refusals never become
+     * acceptances, passes its previous victim to skip what it already
+     * refused. Publishes an OsVictimPick event and returns the chosen
+     * SECS PA, or NotFound if nothing qualifies.
      */
     Result<hw::Paddr> pickEvictVictim(
-        const std::function<bool(hw::Paddr)>& eligible = nullptr);
+        const std::function<bool(hw::Paddr)>& eligible = nullptr,
+        hw::Paddr from = 0);
 
     /** Free EPC pages remaining. */
     std::size_t freeEpcPages() const { return epcFreeList_.size(); }
@@ -144,12 +154,16 @@ class Kernel {
   private:
     Result<hw::Paddr> allocEpcPage();
     void freeEpcPage(hw::Paddr pa);
+    /** Drops a destroyed enclave's record and its LRU node. */
+    void forgetEnclave(std::map<hw::Paddr, EnclaveRecord>::iterator it);
 
     sgx::Machine& machine_;
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<hw::Paddr> epcFreeList_;
     hw::Paddr nextFrame_;
     std::map<hw::Paddr, EnclaveRecord> enclaves_;
+    /** SECS PAs, coldest (least recently created or touched) first. */
+    std::list<hw::Paddr> lru_;
     bool failNextEextend_ = false;
     std::uint64_t useTick_ = 0;       ///< logical LRU clock
     std::uint64_t nextCreateSeq_ = 0; ///< enclave creation counter

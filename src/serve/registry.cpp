@@ -420,7 +420,7 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     auto tenant = std::make_unique<TenantHandle>();
     tenant->id = id;
     tenant->workload = workload;
-    tenant->inner = inner.value();
+    setInner(*tenant, inner.value());
     tenant->gatewayIndex = gwIndex.value();
     tenant->slot = *slot;
     gateway.state->slots[tenant->slot] = inner.value();
@@ -571,12 +571,12 @@ TenantRegistry::rebuildTenant(TenantHandle& tenant)
         // the slot pointing at a half-dead enclave.
         sdk::LoadedEnclave* old = tenant.inner;
         gateway.state->slots[tenant.slot] = nullptr;
-        tenant.inner = nullptr;
+        setInner(tenant, nullptr);
         Status st = urts_->unload(old);
         if (!st) {
             // Destroy refused (a page still busy): restore and report;
             // the worker retries on the tenant's next batch.
-            tenant.inner = old;
+            setInner(tenant, old);
             gateway.state->slots[tenant.slot] = old;
             return st;
         }
@@ -594,7 +594,7 @@ TenantRegistry::rebuildTenant(TenantHandle& tenant)
             return rk;
         }
     }
-    tenant.inner = inner.value();
+    setInner(tenant, inner.value());
     gateway.state->slots[tenant.slot] = inner.value();
     ++tenant.rebuilds;
     // In-enclave state was lost: clients must re-resolve placement (new
@@ -655,10 +655,10 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex)
         if (!tenant->inner) continue;
         sdk::LoadedEnclave* old = tenant->inner;
         gateway.state->slots[tenant->slot] = nullptr;
-        tenant->inner = nullptr;
+        setInner(*tenant, nullptr);
         Status st = urts_->unload(old);
         if (!st) {
-            tenant->inner = old;
+            setInner(*tenant, old);
             gateway.state->slots[tenant->slot] = old;
             return st;
         }
@@ -697,7 +697,7 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex)
                 continue;
             }
         }
-        tenant->inner = inner.value();
+        setInner(*tenant, inner.value());
         gateway.state->slots[tenant->slot] = inner.value();
         ++tenant->rebuilds;
         ++tenant->epoch;
@@ -838,18 +838,18 @@ TenantRegistry::commitRelocation(TenantHandle& tenant,
     if (tenant.inner) {
         sdk::LoadedEnclave* old = tenant.inner;
         source.state->slots[tenant.slot] = nullptr;
-        tenant.inner = nullptr;
+        setInner(tenant, nullptr);
         Status st = urts_->unload(old);
         if (!st) {
             // Source teardown refused (busy page): roll the swap back;
             // the staged instance is abandoned by the caller.
-            tenant.inner = old;
+            setInner(tenant, old);
             source.state->slots[tenant.slot] = old;
             return st;
         }
     }
     --source.tenantCount;
-    tenant.inner = ticket.inner;
+    setInner(tenant, ticket.inner);
     tenant.gatewayIndex = ticket.gatewayIndex;
     tenant.slot = ticket.slot;
     ++tenant.migrations;
@@ -872,10 +872,10 @@ TenantRegistry::retireTenant(TenantId id)
         Gateway& gateway = gateways_[tenant->gatewayIndex];
         sdk::LoadedEnclave* old = tenant->inner;
         gateway.state->slots[tenant->slot] = nullptr;
-        tenant->inner = nullptr;
+        setInner(*tenant, nullptr);
         Status st = urts_->unload(old);
         if (!st) {
-            tenant->inner = old;
+            setInner(*tenant, old);
             gateway.state->slots[tenant->slot] = old;
             return st;
         }
@@ -888,12 +888,16 @@ TenantRegistry::retireTenant(TenantId id)
 TenantHandle*
 TenantRegistry::tenantBySecs(hw::Paddr secsPage)
 {
-    for (auto& [id, tenant] : tenants_) {
-        if (tenant->inner && tenant->inner->secsPage() == secsPage) {
-            return tenant.get();
-        }
-    }
-    return nullptr;
+    auto it = innerOwners_.find(secsPage);
+    return it == innerOwners_.end() ? nullptr : it->second;
+}
+
+void
+TenantRegistry::setInner(TenantHandle& tenant, sdk::LoadedEnclave* inner)
+{
+    if (tenant.inner) innerOwners_.erase(tenant.inner->secsPage());
+    tenant.inner = inner;
+    if (inner) innerOwners_[inner->secsPage()] = &tenant;
 }
 
 }  // namespace nesgx::serve

@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/compose.h"
@@ -53,7 +54,8 @@ enum class Topology {
 struct TenantHandle {
     TenantId id = 0;
     Workload workload = Workload::Echo;
-    /** Inner enclave; nullptr while a poisoned tenant awaits rebuild. */
+    /** Inner enclave; nullptr while a poisoned tenant awaits rebuild.
+     *  Only the registry writes it (it indexes tenants by inner SECS). */
     sdk::LoadedEnclave* inner = nullptr;
     std::size_t gatewayIndex = 0;
     std::uint32_t slot = 0;  ///< slot within the gateway
@@ -268,7 +270,9 @@ class TenantRegistry {
      *  source half of a cross-host move, or an onboarding rejection). */
     Status retireTenant(TenantId id);
 
-    /** Tenant owning this inner SECS, or nullptr (victim filtering). */
+    /** Tenant whose live inner has this SECS, or nullptr (gateways, the
+     *  CVM root, staged relocations). O(1): victim filtering calls it
+     *  once per candidate. */
     TenantHandle* tenantBySecs(hw::Paddr secsPage);
 
     // --- failure-domain health markers -----------------------------------
@@ -343,6 +347,9 @@ class TenantRegistry {
     Status reloadEnclave(sdk::LoadedEnclave* enclave, std::uint64_t* pages);
     Result<sdk::LoadedEnclave*> buildInner(TenantId id, Workload workload,
                                            Gateway& gateway);
+    /** The only writer of TenantHandle::inner: keeps `innerOwners_`
+     *  current. */
+    void setInner(TenantHandle& tenant, sdk::LoadedEnclave* inner);
 
     sdk::Urts* urts_;
     Config config_;
@@ -350,6 +357,8 @@ class TenantRegistry {
     sdk::LoadedEnclave* cvmRoot_ = nullptr;
     std::vector<Gateway> gateways_;
     std::map<TenantId, std::unique_ptr<TenantHandle>> tenants_;
+    /** Live inner SECS PA -> the tenant it serves (tenantBySecs). */
+    std::unordered_map<hw::Paddr, TenantHandle*> innerOwners_;
     std::set<std::size_t> crashedGateways_;
     bool degraded_ = false;
 };

@@ -33,13 +33,23 @@ EpcPressureManager::ensureFree(std::uint64_t pages)
     // Tenants whose eviction freed nothing this round (fully pinned):
     // excluded so the loop cannot spin on them.
     std::set<hw::Paddr> barren;
+    // Each pick resumes at the previous victim instead of the cold end
+    // of the LRU. Nothing in this loop touches an enclave, reloads a
+    // page or changes `busy`, and `barren` only grows, so every enclave
+    // the previous scan passed over would be refused again. The victim
+    // itself is re-offered: a drained one is picked once more, frees
+    // nothing and turns barren, exactly as a scan from the head does.
+    hw::Paddr resumeAt = 0;
     while (kernel_->freeEpcPages() < pages) {
-        auto victim = kernel_->pickEvictVictim([&](hw::Paddr secs) {
-            if (barren.count(secs)) return false;
-            TenantHandle* tenant = registry_->tenantBySecs(secs);
-            return tenant != nullptr && !tenant->busy;
-        });
+        auto victim = kernel_->pickEvictVictim(
+            [&](hw::Paddr secs) {
+                if (barren.count(secs)) return false;
+                TenantHandle* tenant = registry_->tenantBySecs(secs);
+                return tenant != nullptr && !tenant->busy;
+            },
+            resumeAt);
         if (!victim) return Err::OsError;
+        resumeAt = victim.value();
         TenantHandle* tenant = registry_->tenantBySecs(victim.value());
         std::uint64_t written = registry_->evictTenant(*tenant);
         if (written == 0) {

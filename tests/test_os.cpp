@@ -2,6 +2,10 @@
  *  surface, and the hostile primitives' own behaviour. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 #include "harness.h"
 #include "os/ipc.h"
 
@@ -221,6 +225,139 @@ TEST(OsKernel, EcallsRefreshLruOrder)
     // ...until an entry into a marks it recently used.
     ASSERT_TRUE(world.urts->ecall(a, "ping", bytesOf("x")).isOk());
     EXPECT_EQ(world.kernel.evictionCandidates().front(), b->secsPage());
+}
+
+/** The victim order the kernel kept before its LRU list: every enclave
+ *  sorted by (last-use tick, creation seq, SECS PA). Reference only. */
+std::vector<const os::EnclaveRecord*>
+referenceLruOrder(const os::Kernel& kernel)
+{
+    std::vector<const os::EnclaveRecord*> recs;
+    for (const auto& [secs, rec] : kernel.enclaveTable()) recs.push_back(&rec);
+    std::sort(recs.begin(), recs.end(),
+              [](const os::EnclaveRecord* a, const os::EnclaveRecord* b) {
+                  if (a->lastUseTick != b->lastUseTick) {
+                      return a->lastUseTick < b->lastUseTick;
+                  }
+                  if (a->createSeq != b->createSeq) {
+                      return a->createSeq < b->createSeq;
+                  }
+                  return a->secsPage < b->secsPage;
+              });
+    return recs;
+}
+
+TEST(OsKernel, LruListMatchesReferenceSortUnderRandomOps)
+{
+    // A seeded random walk over the driver surface (create, touch, add,
+    // evict, reload, destroy) on up to 50 enclaves. After every step the
+    // LRU list must give exactly the reference sort's candidates, and a
+    // pick with a random filter from a random start must land where a
+    // scan of the reference order from that start lands.
+    World world;
+    os::Kernel& kernel = world.kernel;
+    std::mt19937_64 rng(0x1f0e5eed);
+    auto below = [&](std::size_t n) { return std::size_t(rng() % n); };
+    constexpr std::uint64_t kSpanPages = 16;
+    const Bytes content(hw::kPageSize, 0x5a);
+
+    struct Live {
+        hw::Paddr secs;
+        hw::Vaddr base;
+        std::uint64_t addedPages = 0;
+    };
+    std::vector<Live> live;
+    std::uint64_t created = 0;
+    std::uint64_t picked = 0;
+
+    for (int step = 0; step < 2000; ++step) {
+        const std::size_t op = below(9);
+        if (op < 2 || live.empty()) {
+            if (live.size() < 50) {
+                const hw::Vaddr base =
+                    0x6000'0000'0000ull + created++ * kSpanPages * hw::kPageSize;
+                auto secs = kernel.createEnclave(
+                    world.pid, base, kSpanPages * hw::kPageSize, 0);
+                ASSERT_TRUE(secs.isOk()) << "step " << step;
+                live.push_back({secs.value(), base});
+            }
+        } else {
+            const std::size_t index = below(live.size());
+            Live& e = live[index];
+            const os::EnclaveRecord* rec = kernel.enclaveRecord(e.secs);
+            ASSERT_NE(rec, nullptr);
+            if (op < 4) {
+                kernel.touchEnclave(e.secs);
+            } else if (op < 6) {
+                if (e.addedPages < kSpanPages) {
+                    const hw::Vaddr va =
+                        e.base + e.addedPages++ * hw::kPageSize;
+                    ASSERT_TRUE(kernel
+                                    .addPage(e.secs, va, sgx::PageType::Reg,
+                                             sgx::PagePerms::rw(),
+                                             ByteView(content))
+                                    .isOk())
+                        << "step " << step;
+                }
+            } else if (op == 6) {
+                if (!rec->pages.empty()) {
+                    auto page = std::next(rec->pages.begin(),
+                                          long(below(rec->pages.size())));
+                    ASSERT_TRUE(kernel.evictPage(e.secs, page->first).isOk())
+                        << "step " << step;
+                }
+            } else if (op == 7) {
+                if (!rec->evicted.empty()) {
+                    auto page = std::next(rec->evicted.begin(),
+                                          long(below(rec->evicted.size())));
+                    ASSERT_TRUE(kernel.reloadPage(e.secs, page->first).isOk())
+                        << "step " << step;
+                }
+            } else {
+                ASSERT_TRUE(kernel.destroyEnclave(e.secs).isOk())
+                    << "step " << step;
+                live.erase(live.begin() + long(index));
+            }
+        }
+
+        const auto order = referenceLruOrder(kernel);
+        std::vector<hw::Paddr> expected;
+        for (const os::EnclaveRecord* rec : order) {
+            if (!rec->pages.empty()) expected.push_back(rec->secsPage);
+        }
+        ASSERT_EQ(kernel.evictionCandidates(), expected) << "step " << step;
+
+        std::set<hw::Paddr> accepted;
+        for (const os::EnclaveRecord* rec : order) {
+            if (below(2) == 0) accepted.insert(rec->secsPage);
+        }
+        std::size_t start = 0;
+        hw::Paddr from = 0;
+        if (!order.empty() && below(2) == 0) {
+            start = below(order.size());
+            from = order[start]->secsPage;
+        }
+        hw::Paddr want = 0;
+        for (std::size_t i = start; i < order.size(); ++i) {
+            if (!order[i]->pages.empty() &&
+                accepted.count(order[i]->secsPage)) {
+                want = order[i]->secsPage;
+                break;
+            }
+        }
+        auto got = kernel.pickEvictVictim(
+            [&](hw::Paddr secs) { return accepted.count(secs) != 0; }, from);
+        if (want == 0) {
+            EXPECT_EQ(got.status().code(), Err::NotFound) << "step " << step;
+        } else {
+            ASSERT_TRUE(got.isOk()) << "step " << step;
+            EXPECT_EQ(got.value(), want) << "step " << step;
+            ++picked;
+        }
+    }
+    // The walk really exercised both the list and the picks.
+    EXPECT_GE(created, 100u);
+    EXPECT_GE(picked, 500u);
 }
 
 // --- IPC service edge cases ---------------------------------------------------

@@ -97,6 +97,53 @@ TEST(ServeRegistry, SpillsIntoFreshGatewaysWhenFull)
     EXPECT_EQ(service.submit(7, Bytes{1, 2, 3}).code(), Err::NotFound);
 }
 
+TEST(ServeRegistry, TenantBySecsFollowsEveryInnerChange)
+{
+    // The SECS -> tenant index behind victim filtering must follow every
+    // site that swaps a tenant's inner: a retired or relocated-away SECS
+    // maps to no tenant (its frame may already serve another enclave),
+    // and neither do gateways or a staged, uncommitted destination.
+    World world;
+    auto sc = smallServiceConfig();
+    sc.registry.tenantsPerOuter = 2;
+    serve::TenantService service(*world.urts, sc);
+    serve::TenantRegistry& registry = service.registry();
+    for (TenantId t = 0; t < 3; ++t) {
+        ASSERT_TRUE(service.addTenant(t, Workload::Echo).isOk()) << t;
+    }
+    serve::TenantHandle* t0 = registry.find(0);
+    serve::TenantHandle* t1 = registry.find(1);
+    serve::TenantHandle* t2 = registry.find(2);
+    for (serve::TenantHandle* t : {t0, t1, t2}) {
+        EXPECT_EQ(registry.tenantBySecs(t->inner->secsPage()), t);
+    }
+    EXPECT_EQ(registry.tenantBySecs(registry.gatewayOuter(0)->secsPage()),
+              nullptr);
+
+    ASSERT_TRUE(registry.rebuildTenant(*t0).isOk());
+    EXPECT_EQ(registry.tenantBySecs(t0->inner->secsPage()), t0);
+
+    const hw::Paddr before = t0->inner->secsPage();
+    auto target = registry.pickGatewayExcept(t0->gatewayIndex);
+    ASSERT_TRUE(target.isOk());
+    auto ticket = registry.stageRelocation(*t0, target.value());
+    ASSERT_TRUE(ticket.isOk());
+    const hw::Paddr staged = ticket.value().inner->secsPage();
+    EXPECT_EQ(registry.tenantBySecs(staged), nullptr);
+    ASSERT_TRUE(registry.commitRelocation(*t0, ticket.value()).isOk());
+    EXPECT_EQ(registry.tenantBySecs(staged), t0);
+    EXPECT_EQ(registry.tenantBySecs(before), nullptr);
+
+    ASSERT_TRUE(registry.rebuildGatewaySubtree(t1->gatewayIndex).isOk());
+    EXPECT_EQ(registry.tenantBySecs(t1->inner->secsPage()), t1);
+
+    const hw::Paddr retired = t2->inner->secsPage();
+    ASSERT_TRUE(registry.retireTenant(2).isOk());
+    EXPECT_EQ(registry.tenantBySecs(retired), nullptr);
+    EXPECT_EQ(registry.tenantBySecs(t0->inner->secsPage()), t0);
+    EXPECT_EQ(registry.tenantBySecs(t1->inner->secsPage()), t1);
+}
+
 TEST(ServeWorkerPool, BatchCostsOneEnterPairRegardlessOfSize)
 {
     World world;
@@ -805,6 +852,87 @@ TEST(ServeCvm, SubtreeEvictAndRebuildRoundTrip)
     serveRound(c1, 1);
     EXPECT_EQ(c0.failures(), 0u);
     EXPECT_EQ(c1.failures(), 0u);
+}
+
+// --- victim search at fleet scale ---------------------------------------
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+/** FNV-1a over the eight little-endian bytes of `value`. */
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xff;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/** Folds the OsVictimPick stream (arg0 = victim SECS, arg1 = its
+ *  last-use tick) into a count and a digest. */
+struct VictimStreamSink : trace::TraceSink {
+    std::uint64_t picks = 0;
+    std::uint64_t digest = kFnvOffset;
+    void onEvent(const trace::TraceEvent& event) override
+    {
+        if (event.kind != trace::EventKind::OsVictimPick) return;
+        ++picks;
+        digest = fnv1a(fnv1a(digest, event.arg0), event.arg1);
+    }
+};
+
+TEST(ServePressure, FleetVictimStreamIsPinned)
+{
+    // 120 tenants on an EPC that holds every gateway and every drained
+    // tenant's SECS + TCS but only a few working sets: TCS-only
+    // (barren) tenants pile up at the cold end of the LRU, the shape
+    // where each eviction scans past many refused candidates. The pick
+    // stream, the pick and eviction counts and every request's latency
+    // are pinned to the values of the sort-per-pick victim search, so a
+    // faster search cannot change which victim is chosen or when.
+    auto config = World::smallConfig();
+    config.prmBytes = 2600 * hw::kPageSize;
+    World world(config);
+    VictimStreamSink sink;
+    world.machine.trace().subscribe(&sink);
+
+    serve::TenantService service(*world.urts, smallServiceConfig());
+    constexpr TenantId kTenants = 120;
+    const std::vector<Workload> mix = {Workload::Echo, Workload::Sql,
+                                       Workload::Svm};
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+    for (TenantId t = 0; t < kTenants; ++t) {
+        const Workload workload = mix[t % mix.size()];
+        ASSERT_TRUE(service.addTenant(t, workload).isOk()) << t;
+        clients.push_back(std::make_unique<serve::TenantClient>(t, workload));
+    }
+    std::uint64_t verified = 0;
+    std::uint64_t latencyDigest = kFnvOffset;
+    for (int round = 0; round < 2; ++round) {
+        for (TenantId t = 0; t < kTenants; ++t) {
+            ASSERT_TRUE(service.submit(t, clients[t]->nextRequest()).isOk());
+        }
+        service.pump();
+        for (serve::Completion& done : service.drain()) {
+            latencyDigest = fnv1a(latencyDigest, done.latencyCycles);
+            if (done.ok && clients[done.tenant]->onResponse(
+                               done.sealedResponse)) {
+                ++verified;
+            }
+        }
+    }
+    world.machine.trace().unsubscribe(&sink);
+
+    const trace::StatsCounters& c = world.machine.trace().counters();
+    EXPECT_EQ(verified, 2 * kTenants);
+    EXPECT_EQ(sink.picks, c.victimPicks);
+    // Barren tenants really piled up: most picks refuse to free a page.
+    EXPECT_GT(c.victimPicks, 10 * c.serveTenantEvictions);
+    EXPECT_EQ(c.victimPicks, 27551u);
+    EXPECT_EQ(c.serveTenantEvictions, 341u);
+    EXPECT_EQ(sink.digest, 408262705156234952ull);
+    EXPECT_EQ(latencyDigest, 16291581598430032301ull);
 }
 
 // --- determinism ---------------------------------------------------------
