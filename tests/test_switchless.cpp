@@ -7,6 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <vector>
+
+#include "fault/injector.h"
 #include "harness.h"
 #include "serve/client.h"
 #include "serve/service.h"
@@ -320,6 +325,173 @@ INSTANTIATE_TEST_SUITE_P(TlbModes, SwitchlessTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                              return info.param ? "TaggedTlb" : "FlushedTlb";
                          });
+
+// --- pinned switchless stream --------------------------------------------
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+/** FNV-1a over the eight little-endian bytes of `value`. */
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xff;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/** Folds every trace event's (kind, core, arg0, arg1) into a digest. */
+struct StreamDigestSink : trace::TraceSink {
+    std::uint64_t events = 0;
+    std::uint64_t digest = kFnvOffset;
+    void onEvent(const trace::TraceEvent& event) override
+    {
+        ++events;
+        digest = fnv1a(digest, std::uint64_t(event.kind));
+        digest = fnv1a(digest, event.core);
+        digest = fnv1a(fnv1a(digest, event.arg0), event.arg1);
+    }
+};
+
+/** What one scripted switchless run leaves behind. */
+struct StreamPin {
+    std::uint64_t events, digest, cycles, verified;
+    std::uint64_t calls, armings, idleFallbacks, ringStalls, pollerWedges;
+    std::uint64_t eenters, neenters, eexits, neexits, eresumes;
+
+    bool operator==(const StreamPin& o) const
+    {
+        return events == o.events && digest == o.digest &&
+               cycles == o.cycles && verified == o.verified &&
+               calls == o.calls && armings == o.armings &&
+               idleFallbacks == o.idleFallbacks &&
+               ringStalls == o.ringStalls &&
+               pollerWedges == o.pollerWedges && eenters == o.eenters &&
+               neenters == o.neenters && eexits == o.eexits &&
+               neexits == o.neexits && eresumes == o.eresumes;
+    }
+};
+
+std::ostream&
+operator<<(std::ostream& os, const StreamPin& p)
+{
+    return os << "{" << p.events << "u, " << p.digest << "ull, " << p.cycles
+              << "u, " << p.verified << "u, " << p.calls << "u, "
+              << p.armings << "u, " << p.idleFallbacks << "u, "
+              << p.ringStalls << "u, " << p.pollerWedges << "u, "
+              << p.eenters << "u, " << p.neenters << "u, " << p.eexits
+              << "u, " << p.neexits << "u, " << p.eresumes << "u}";
+}
+
+/**
+ * Two tenants on one gateway with switchless armed, driven through every
+ * engine lifecycle step: serve, idle past the park budget and serve again
+ * (leaf and root fall back and re-park), then a ring stall, a poller
+ * wedge under an interrupt storm, and a kick (disarm) before serving
+ * once more. The whole trace stream, the clock, the engine stats and the
+ * transition counts are folded into one pin.
+ */
+StreamPin
+scriptedSwitchlessRun(serve::Topology topology)
+{
+    auto config = World::smallConfig();
+    config.coreCount = 8;
+    World world(config);
+    StreamDigestSink sink;
+    world.machine.trace().subscribe(&sink);
+
+    serve::TenantService::Config sc;
+    sc.registry.tenantsPerOuter = 3;
+    sc.registry.outerCodePages = 12;
+    sc.registry.outerHeapPages = 24;
+    sc.registry.innerCodePages = 4;
+    sc.registry.innerHeapPages = 8;
+    sc.registry.topology = topology;
+    sc.registry.cvmCodePages = 8;
+    sc.registry.cvmHeapPages = 24;
+    sc.registry.cvmTcs = 8;
+    sc.pool.batchSize = 4;
+    sc.switchless.enabled = true;
+    sc.switchless.hostCores = 2;
+    sc.switchless.idleParkCycles = 20000;
+    serve::TenantService service(*world.urts, sc);
+
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+    for (TenantId t = 0; t < 2; ++t) {
+        EXPECT_TRUE(service.addTenant(t, Workload::Echo).isOk()) << t;
+        clients.push_back(
+            std::make_unique<serve::TenantClient>(t, Workload::Echo));
+    }
+    EXPECT_EQ(service.armSwitchless(), 2u);
+
+    std::uint64_t verified = 0;
+    auto serveRound = [&](int perTenant) {
+        for (int i = 0; i < perTenant; ++i) {
+            for (TenantId t = 0; t < 2; ++t) {
+                EXPECT_TRUE(
+                    service.submit(t, clients[t]->nextRequest()).isOk());
+            }
+        }
+        service.pump();
+        for (serve::Completion& done : service.drain()) {
+            serve::TenantClient& client = *clients[done.tenant];
+            if (done.ok && client.onResponse(done.sealedResponse)) {
+                ++verified;
+            } else if (done.tenantRebuilt) {
+                client.onTenantRebuilt();
+            } else if (!done.ok) {
+                client.onDropped();
+            }
+        }
+    };
+
+    serveRound(4);
+    world.machine.charge(sc.switchless.idleParkCycles * 3);
+    serveRound(2);
+
+    auto plan = fault::FaultPlan::parse(
+        "ring-stall@n=1; poller-wedge@n=3; aex-storm@every=7");
+    EXPECT_TRUE(plan.isOk());
+    fault::FaultInjector injector(plan.value(), 1);
+    world.machine.setFaultInjector(&injector);
+    serveRound(2);
+    world.machine.setFaultInjector(nullptr);
+    switchless::SwitchlessEngine* engine = service.switchlessEngine();
+    for (TenantId t = 0; t < 2; ++t) {
+        if (engine->channelProgress(t).wedged) engine->disarm(t);
+    }
+    serveRound(2);
+    world.machine.trace().unsubscribe(&sink);
+
+    const trace::StatsCounters& c = world.machine.trace().counters();
+    const switchless::EngineStats& s = engine->engineStats();
+    return {sink.events,     sink.digest,      world.machine.clock().cycles(),
+            verified,        s.calls,          s.armings,
+            s.idleFallbacks, s.ringStalls,     s.pollerWedges,
+            c.eenterCount,   c.neenterCount,   c.eexitCount,
+            c.neexitCount,   c.eresumeCount};
+}
+
+TEST(SwitchlessStream, FlatLifecycleStreamIsPinned)
+{
+    const StreamPin pin = scriptedSwitchlessRun(serve::Topology::Flat);
+    EXPECT_GE(pin.idleFallbacks, 2u);
+    EXPECT_EQ(pin.ringStalls, 1u);
+    EXPECT_EQ(pin.pollerWedges, 1u);
+    EXPECT_EQ(pin, (StreamPin{1902u, 2214891058053116437ull, 1176563u, 18u,
+                              7u, 11u, 6u, 1u, 1u, 11u, 7u, 8u, 5u, 9u}));
+}
+
+TEST(SwitchlessStream, CvmLifecycleStreamIsPinned)
+{
+    const StreamPin pin = scriptedSwitchlessRun(serve::Topology::Cvm);
+    EXPECT_GE(pin.idleFallbacks, 2u);
+    EXPECT_EQ(pin.ringStalls, 1u);
+    EXPECT_EQ(pin.pollerWedges, 1u);
+    EXPECT_EQ(pin, (StreamPin{2842u, 8515621334854959202ull, 1813214u, 18u,
+                              7u, 14u, 8u, 1u, 1u, 14u, 17u, 10u, 12u, 13u}));
+}
 
 }  // namespace
 }  // namespace nesgx::test
