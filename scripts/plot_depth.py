@@ -9,13 +9,9 @@ containers have only the stdlib) the same curve is printed as ASCII, so
 the script is always runnable and its exit code still validates the
 report.
 
-Validation (exit 1 on violation, same gates CI asserts):
-  - all six depth_served_validation_cycles_* keys present and finite
-  - cached depth-3 <= 1.15 x cached depth-2 (the closure cache keeps
-    validation flat as the fleet deepens from the flat pair to the
-    CVM -> gateway -> tenant tree)
-  - the per-node walk grows with depth (walk_d4 > walk_d3 > walk_d2) —
-    the linear baseline the cache is measured against
+Validation (exit 1 on violation): every depth_served_* key present and
+finite, then the depth gates of gates.py (DEPTH: cached depth-3 <= 1.15 x
+cached depth-2, and the per-node walk grows with depth).
 
 Usage: plot_depth.py DEPTH.json [OUT.png]
 """
@@ -23,8 +19,9 @@ import json
 import math
 import sys
 
+from gates import DEPTH, FLAT_BUDGET, require
+
 DEPTHS = [2, 3, 4]
-FLAT_BUDGET = 1.15  # cached depth-3 vs depth-2 ratio ceiling
 
 
 def fail(msg):
@@ -49,18 +46,8 @@ def load(path):
             if not math.isfinite(value) or value < 0:
                 fail(f"{key} = {value!r} is not a sane value")
             values[series][depth] = value
+    require(DEPTH, report)
     return values
-
-
-def validate(values):
-    cached = values["cached"]
-    walk = values["walk"]
-    if cached[3] > FLAT_BUDGET * cached[2]:
-        fail(f"cached validation not flat: depth-3 {cached[3]:.1f} > "
-             f"{FLAT_BUDGET} x depth-2 {cached[2]:.1f} cycles/request")
-    if not walk[4] > walk[3] > walk[2]:
-        fail("per-node walk should grow with depth, got "
-             f"{walk[2]:.1f} / {walk[3]:.1f} / {walk[4]:.1f}")
 
 
 def ascii_chart(values):
@@ -107,7 +94,6 @@ def main():
     if len(sys.argv) not in (2, 3):
         fail("usage: plot_depth.py DEPTH.json [OUT.png]")
     values = load(sys.argv[1])
-    validate(values)
     if len(sys.argv) == 3 and png_chart(values, sys.argv[2]):
         return
     ascii_chart(values)

@@ -8,10 +8,9 @@ available a PNG is written; without it (the CI containers have only the
 stdlib) the same chart is printed as ASCII art, so the script is always
 runnable and its exit code still validates the report.
 
-Validation (exit 1 on violation, same gates CI asserts):
-  - all three transitions_per_request_* keys present and finite
-  - classic > batched > switchless (each mode must actually help)
-  - switchless <= 0.01 (the exit-less path may not leak transitions)
+Validation (exit 1 on violation): all three transitions_per_request_*
+keys present and finite, then the transition-tax gates of gates.py
+(TRANSITION_TAX, the same table CI asserts).
 
 Usage: plot_transitions.py SERVE.json [OUT.png]
 """
@@ -19,12 +18,13 @@ import json
 import math
 import sys
 
+from gates import SWITCHLESS_BUDGET, TRANSITION_TAX, require
+
 MODES = [
     ("classic", "transitions_per_request_classic"),
     ("batched", "transitions_per_request_batched"),
     ("switchless", "transitions_per_request_switchless"),
 ]
-SWITCHLESS_BUDGET = 0.01
 
 
 def fail(msg):
@@ -43,17 +43,8 @@ def load(path):
         if not math.isfinite(value) or value < 0:
             fail(f"{key} = {value!r} is not a sane rate")
         values[mode] = value
+    require(TRANSITION_TAX, report)
     return values
-
-
-def validate(values):
-    if not values["classic"] > values["batched"] > values["switchless"]:
-        fail("expected classic > batched > switchless, got "
-             f"{values['classic']:.4f} / {values['batched']:.4f} / "
-             f"{values['switchless']:.4f}")
-    if values["switchless"] > SWITCHLESS_BUDGET:
-        fail(f"switchless {values['switchless']:.4f} exceeds the "
-             f"{SWITCHLESS_BUDGET} transitions/request budget")
 
 
 def ascii_chart(values):
@@ -103,7 +94,6 @@ def main():
     if len(sys.argv) not in (2, 3):
         fail("usage: plot_transitions.py SERVE.json [OUT.png]")
     values = load(sys.argv[1])
-    validate(values)
     if len(sys.argv) == 3 and png_chart(values, sys.argv[2]):
         return
     ascii_chart(values)

@@ -478,12 +478,11 @@ TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
 std::vector<sdk::LoadedEnclave*>
 TenantRegistry::dispatchChain(const TenantHandle& tenant)
 {
-    if (config_.topology != Topology::Cvm || cvmRoot_ == nullptr ||
-        tenant.inner == nullptr) {
-        return {};
-    }
+    if (tenant.inner == nullptr) return {};
     Gateway& gateway = gateways_[tenant.gatewayIndex];
     if (!gateway.outer) return {};
+    if (config_.topology != Topology::Cvm) return {gateway.outer, tenant.inner};
+    if (cvmRoot_ == nullptr) return {};
     return {cvmRoot_, gateway.outer, tenant.inner};
 }
 

@@ -299,12 +299,12 @@ class TenantRegistry {
 
     /**
      * Root-first dispatch chain for the tenant's endpoint: {cvm,
-     * gateway, inner} under Cvm, empty under Flat (callers fall back to
-     * the classic {outer, inner} pair, keeping flat byte-identity).
+     * gateway, inner} under Cvm, {gateway, inner} under Flat; empty
+     * while the tenant or its gateway has no live instance.
      */
     std::vector<sdk::LoadedEnclave*> dispatchChain(const TenantHandle& tenant);
 
-    /** Gateway outer enclave by index (switchless endpoint resolution). */
+    /** Gateway outer enclave by index (nullptr mid subtree rebuild). */
     sdk::LoadedEnclave* gatewayOuter(std::size_t index)
     {
         return index < gateways_.size() ? gateways_[index].outer : nullptr;

@@ -25,6 +25,18 @@ poisonedStatus(Status st)
     }
 }
 
+/** The tenant's switchless route: its dispatch chain, served by the
+ *  leaf's batch entry point. */
+switchless::Endpoint
+endpointFor(TenantRegistry& registry, const TenantHandle& tenant)
+{
+    switchless::Endpoint ep;
+    ep.chain = registry.dispatchChain(tenant);
+    ep.innerCall = "serve_batch";
+    ep.slot = tenant.slot;
+    return ep;
+}
+
 }  // namespace
 
 Status
@@ -127,19 +139,8 @@ WorkerPool::rebuildTenantNow(TenantHandle& tenant)
     if (!st && registry_->topology() == Topology::Cvm) {
         // Cvm escalation: the tenant refused to come back on its own —
         // the gateway layer itself may be the casualty, so rebuild the
-        // whole subtree. Sibling tenants' pollers and queued requests
-        // ride on instances about to be destroyed; disarm and fail them
-        // typed first, exactly like the caller's own.
-        for (const auto& [id, sibling] : registry_->tenants()) {
-            if (sibling->gatewayIndex != tenant.gatewayIndex ||
-                sibling.get() == &tenant) {
-                continue;
-            }
-            if (engine_) engine_->disarm(id);
-            failQueuedRebuilt(id);
-        }
-        st = registry_->rebuildGatewaySubtree(tenant.gatewayIndex);
-        ++subtreeRebuilds_;
+        // whole subtree.
+        st = rebuildSubtreeNow(tenant.gatewayIndex);
         machine.trace().publishLight(trace::EventKind::ServeTenantRebuild,
                                      trace::kNoCore, 0, tenant.id,
                                      tenant.gatewayIndex);
@@ -157,20 +158,29 @@ WorkerPool::rebuildTenant(TenantHandle& tenant)
 }
 
 Status
-WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
+WorkerPool::rebuildSubtreeNow(std::size_t gatewayIndex)
 {
-    sgx::Machine& machine = registry_->urts().machine();
-    const std::uint64_t begin = machine.clock().cycles();
     // Every member's poller parks inside an instance about to be torn
     // down, and every queued request was sealed against one: disarm and
-    // fail typed first, same contract as the in-batch Cvm escalation.
+    // fail them typed first, then unpark the relay poller still parked
+    // in the gateway itself.
     for (const auto& [id, member] : registry_->tenants()) {
         if (member->gatewayIndex != gatewayIndex) continue;
         if (engine_) engine_->disarm(id);
         failQueuedRebuilt(id);
     }
+    if (engine_) engine_->disarmRelay(registry_->gatewayOuter(gatewayIndex));
     Status st = registry_->rebuildGatewaySubtree(gatewayIndex);
     ++subtreeRebuilds_;
+    return st;
+}
+
+Status
+WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
+{
+    sgx::Machine& machine = registry_->urts().machine();
+    const std::uint64_t begin = machine.clock().cycles();
+    Status st = rebuildSubtreeNow(gatewayIndex);
     rebuildLatency_.add(machine.clock().cycles() - begin);
     return st;
 }
@@ -179,14 +189,7 @@ Result<Bytes>
 WorkerPool::dispatchVia(TenantHandle& tenant, ByteView blob, hw::CoreId core)
 {
     if (engine_ != nullptr && tenant.inner != nullptr) {
-        switchless::Endpoint ep;
-        ep.outer = registry_->gatewayOuter(tenant.gatewayIndex);
-        ep.inner = tenant.inner;
-        ep.innerCall = "serve_batch";
-        ep.slot = tenant.slot;
-        // Cvm topology: route rings through the full ancestor chain
-        // (empty chain = the classic two-tier shape, flat unchanged).
-        ep.chain = registry_->dispatchChain(tenant);
+        const switchless::Endpoint ep = endpointFor(*registry_, tenant);
         if (engine_->ready(tenant.id, ep)) {
             return engine_->call(tenant.id, ep, blob, core);
         }
@@ -499,13 +502,7 @@ TenantService::armSwitchless()
     std::size_t armed = 0;
     for (const auto& [id, tenant] : registry_.tenants()) {
         if (!tenant->inner) continue;
-        switchless::Endpoint ep;
-        ep.outer = registry_.gatewayOuter(tenant->gatewayIndex);
-        ep.inner = tenant->inner;
-        ep.innerCall = "serve_batch";
-        ep.slot = tenant->slot;
-        ep.chain = registry_.dispatchChain(*tenant);
-        if (switchless_->ready(id, ep)) ++armed;
+        if (switchless_->ready(id, endpointFor(registry_, *tenant))) ++armed;
     }
     return armed;
 }

@@ -123,9 +123,8 @@ class WorkerPool {
      *  in-batch recovery path. */
     Status rebuildTenant(TenantHandle& tenant);
 
-    /** Supervisor entry (subtree-rebuild rung): disarms every member's
-     *  switchless channel, fails their queued requests typed, then
-     *  rebuilds the whole gateway subtree bottom-up. */
+    /** Supervisor entry (subtree-rebuild rung): rebuildSubtreeNow plus
+     *  a rebuild-latency sample. */
     Status rebuildSubtree(std::size_t gatewayIndex);
 
     std::uint64_t batchesDispatched() const { return batches_; }
@@ -155,6 +154,11 @@ class WorkerPool {
      *  escalates to rebuildGatewaySubtree — the gateway layer itself may
      *  be the casualty. */
     Status rebuildTenantNow(TenantHandle& tenant);
+
+    /** Subtree rebuild without the latency sample: disarms every
+     *  member's channel and the relay poller parked in the gateway,
+     *  fails their queued requests typed, then rebuilds bottom-up. */
+    Status rebuildSubtreeNow(std::size_t gatewayIndex);
 
     /** Fails `tenantId`'s queued requests typed with the rebuilt flag
      *  (the seals target an instance that is being destroyed). */

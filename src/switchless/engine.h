@@ -1,28 +1,33 @@
 /**
- * SwitchlessEngine: the exit-less call layer (ISSUE.md tentpole).
+ * SwitchlessEngine: the exit-less call layer.
  *
  * Classic serving pays two transition pairs per dispatch: EENTER/EEXIT
  * into the gateway outer and NEENTER/NEEXIT into the tenant inner. This
  * engine eliminates both from the steady-state request path:
  *
- *   tier 1 (host <-> gateway): descriptor rings + a staging buffer in
- *     host-shared *untrusted* memory. A gateway poller core is parked
- *     inside the outer (one initial EENTER) and services the ring from
+ *   the root hop (host <-> chain root): descriptor rings + a staging
+ *     buffer in host-shared *untrusted* memory. A poller core is parked
+ *     inside the root (one initial EENTER) and services the ring from
  *     enclave mode — enclave code may legally read/write untrusted
  *     memory, so no exit is needed.
  *
- *   tier 2 (gateway <-> inner): rings + staging in the *outer's trusted
- *     heap*. A tenant poller core is parked inside the inner (one
- *     initial EENTER+NEENTER); inner enclaves reach outer-heap pages
- *     through the nested-EPCM outer-closure walk (paper Fig. 6), so
- *     again no transition.
+ *   every deeper hop (parent <-> child, down to the serving leaf):
+ *     rings + staging in the *parent's trusted heap*. A poller core is
+ *     parked inside the child (one initial EENTER + one NEENTER per
+ *     link); nested enclaves reach ancestor-heap pages through the
+ *     nested-EPCM outer-closure walk (paper Fig. 6), so again no
+ *     transition.
  *
- * A request then flows host -> outer -> inner and back entirely through
- * memory: post, poll, drain. Steady-state transitions per request -> 0;
- * the only classic entries left are (re-)arming and idle fallback —
- * a poller whose rings stay empty past `idleParkCycles` gives the core
- * back (EEXIT/NEEXIT out) and the next request re-parks it with classic
- * entries. Transitions therefore scale with *idleness*, not with load.
+ * All hops are one record with one arm/park/resume/unpark/disarm path;
+ * only where the rings live differs.
+ *
+ * A request then flows host -> root -> ... -> leaf and back entirely
+ * through memory: post, poll, drain. Steady-state transitions per
+ * request -> 0; the only classic entries left are (re-)arming and idle
+ * fallback — a poller whose rings stay empty past `idleParkCycles`
+ * gives the core back (EEXIT/NEEXIT out) and the next request re-parks
+ * it with classic entries. Transitions therefore scale with *idleness*,
+ * not with load.
  *
  * Security argument (mirrors the PR-4 by-reference contract): ring
  * descriptors carry only [va, len]. The consumer never dereferences
@@ -62,59 +67,26 @@ struct Config {
     /** Cores [0, hostCores) stay with host workers; poller cores are
      *  taken from the top of the core space downward. */
     std::uint32_t hostCores = 1;
-    /** Host-side staging buffer per gateway channel (bytes). */
+    /** Host-side staging buffer per chain-root hop (bytes). */
     std::uint64_t hostStagingBytes = 16 * 1024;
-    /** Gateway-heap staging buffer per tenant channel (bytes). */
+    /** Parent-heap staging buffer per deeper hop (bytes). */
     std::uint64_t gwStagingBytes = 16 * 1024;
-    /**
-     * Serve enclave->host ocalls over shared-memory rings too: when on,
-     * the engine registers as the SDK's OcallRelay and an ocall from any
-     * enclave under an armed root pays zero EEXIT/EENTER transitions
-     * (dedicated per-root ocall rings, armed lazily on first use). Off
-     * by default: the classic ocall path stays byte-identical.
-     */
-    bool ocallRelay = false;
 };
 
 /** Per-call routing, resolved by the caller (serve layer). */
 struct Endpoint {
-    sdk::LoadedEnclave* outer = nullptr;
-    sdk::LoadedEnclave* inner = nullptr;
-    /** Inner n_ecall the parked poller dispatches to. */
+    /**
+     * Ancestor chain, root first, serving leaf last (size >= 2). The
+     * engine arms one relay hop per parent link — the root's rings in
+     * host memory, every deeper hop's in its parent's trusted heap —
+     * with a poller parked at each depth, plus the leaf's own hop.
+     */
+    std::vector<sdk::LoadedEnclave*> chain;
+    /** Leaf n_ecall the parked poller dispatches to. */
     std::string innerCall;
     /** Caller slot id; every relay hop cross-checks it against the
      *  payload header before forwarding (defense in depth). */
     std::uint32_t slot = 0;
-    /**
-     * Full ancestor chain, root first, leaf last. Empty = the classic
-     * two-tier {outer, inner} shape. When set (size >= 2), the engine
-     * arms one ring pair per parent-chain hop: the root hop in host
-     * memory, every deeper hop in its parent's trusted heap, with a
-     * poller parked at each depth.
-     */
-    std::vector<sdk::LoadedEnclave*> chain;
-
-    /** Root of the chain: where the host-facing rings live. */
-    sdk::LoadedEnclave* root() const
-    {
-        return chain.empty() ? outer : chain.front();
-    }
-    /** The leaf's direct parent: its rings live in this hop's heap. */
-    sdk::LoadedEnclave* leafParent() const
-    {
-        return chain.empty() ? outer : chain[chain.size() - 2];
-    }
-    /** The serving leaf enclave. */
-    sdk::LoadedEnclave* leaf() const
-    {
-        return chain.empty() ? inner : chain.back();
-    }
-    /** The chain in canonical form (derived for the classic shape). */
-    std::vector<sdk::LoadedEnclave*> canonicalChain() const
-    {
-        if (!chain.empty()) return chain;
-        return {outer, inner};
-    }
 };
 
 /** Cumulative engine statistics (monotonic). */
@@ -142,20 +114,19 @@ class SwitchlessEngine : public sdk::OcallRelay {
     SwitchlessEngine(const SwitchlessEngine&) = delete;
     SwitchlessEngine& operator=(const SwitchlessEngine&) = delete;
 
-    bool enabled() const { return config_.enabled; }
-    const Config& config() const { return config_; }
     const EngineStats& engineStats() const { return stats_; }
 
     /**
      * True when a switchless channel is armed (arming it now if needed)
      * for `key` over `ep`. False — caller uses the classic path — when
-     * the engine is disabled or arming failed (no spare core, heap or
-     * TCS); arming failure is degradation, never an error.
+     * arming failed (no spare core, heap or TCS); arming failure is
+     * degradation, never an error, and releases every relay hop the
+     * attempt left without a rider.
      */
     bool ready(std::uint64_t key, const Endpoint& ep);
 
     /**
-     * Pumps one request blob through both ring tiers and returns the
+     * Pumps one request blob down every ring hop and returns the
      * response bytes, exactly as the classic gw_dispatch ecall would.
      * Requires a `ready()` channel. Errors surface with the same typed
      * codes the classic path uses, so the caller's retry/breaker/rebuild
@@ -166,13 +137,21 @@ class SwitchlessEngine : public sdk::OcallRelay {
 
     /**
      * Tears down `key`'s channel: abandons in-flight ring entries
-     * (SwitchlessFallback — never a silent drop), unparks the tenant
-     * poller and frees its gateway-heap staging. Must run before the
-     * tenant inner is rebuilt or unloaded.
+     * (SwitchlessFallback — never a silent drop), unparks the leaf
+     * poller and frees its parent-heap staging, then releases every
+     * deeper relay hop it was the last rider of. Must run before the
+     * leaf is rebuilt or unloaded.
      */
     void disarm(std::uint64_t key);
 
-    /** Disarms every tenant channel and unparks the gateway pollers. */
+    /**
+     * Disarms the relay hop whose poller is parked in `enclave` (a
+     * chain root stays parked across rider churn). Must run, after its
+     * riders are disarmed, before `enclave` is torn down.
+     */
+    void disarmRelay(sdk::LoadedEnclave* enclave);
+
+    /** Disarms every channel, then every relay hop. */
     void disarmAll();
 
     /**
@@ -186,8 +165,8 @@ class SwitchlessEngine : public sdk::OcallRelay {
     /**
      * sdk::OcallRelay: serves one enclave->host ocall over per-root
      * ocall rings with zero transitions. Declines (std::nullopt, no side
-     * effects) when Config::ocallRelay is off or no channel can be
-     * armed; the SDK then falls back to the classic EEXIT/EENTER path.
+     * effects) when the rings cannot be mapped or the argument does not
+     * fit; the SDK then falls back to the classic EEXIT/EENTER path.
      */
     std::optional<Result<Bytes>> relayOcall(sdk::LoadedEnclave& enclave,
                                             hw::CoreId core,
@@ -196,32 +175,20 @@ class SwitchlessEngine : public sdk::OcallRelay {
                                             ByteView arg) override;
 
   private:
-    struct GatewayChannel {
-        sdk::LoadedEnclave* outer = nullptr;
-        DescRing req;
-        DescRing resp;
-        hw::Vaddr stagingVa = 0;
-        hw::CoreId pollerCore = 0;
-        hw::Paddr parkTcs = 0;
-        bool parked = false;
-        std::uint64_t lastActive = 0;
-        std::uint64_t tenants = 0;  ///< tenant channels riding this outer
-    };
-
     /**
-     * One intermediate hop of a depth->=3 chain (e.g. the gateway of a
-     * CVM -> gateway -> tenant tree): rings + staging in its *parent's*
-     * trusted heap, a poller parked at this hop's depth. Refcounted by
-     * the leaf channels whose chains pass through it. Keyed by the hop
-     * enclave. Flat (depth-2) chains arm no mid channels at all, so
-     * that path is untouched.
+     * One hop of a chain: a request/response ring pair plus a staging
+     * buffer, served by a poller parked down `prefix`. Relay hops are
+     * shared by every channel whose chain passes through them and
+     * counted in `riders`; each channel's leaf hop is its own. Ocall
+     * rings reuse the record without a poller.
      */
-    struct MidChannel {
-        sdk::LoadedEnclave* parent = nullptr;  ///< heap owner of the rings
-        sdk::LoadedEnclave* self = nullptr;    ///< poller parks here
+    struct Hop {
+        /** Chain root .. this hop's enclave; the poller parks at the
+         *  end. */
+        std::vector<sdk::LoadedEnclave*> prefix;
         DescRing req;
         DescRing resp;
-        hw::Vaddr ringReqVa = 0;  ///< parent-heap allocations to free
+        hw::Vaddr ringReqVa = 0;
         hw::Vaddr ringRespVa = 0;
         hw::Vaddr stagingVa = 0;
         hw::CoreId pollerCore = 0;
@@ -229,99 +196,80 @@ class SwitchlessEngine : public sdk::OcallRelay {
         std::vector<hw::Paddr> parkTcses;
         bool parked = false;
         std::uint64_t lastActive = 0;
-        std::uint64_t users = 0;  ///< leaf channels riding this hop
-    };
-
-    struct TenantChannel {
-        sdk::LoadedEnclave* outer = nullptr;  ///< chain root (host rings)
-        sdk::LoadedEnclave* inner = nullptr;  ///< serving leaf
-        /** Heap owner of this channel's rings: the leaf's direct parent
-         *  (== outer for the classic depth-2 shape). */
-        sdk::LoadedEnclave* ringHost = nullptr;
-        /** Canonical chain, root first, leaf last (rebuild detection:
-         *  any pointer mismatch re-arms from scratch). */
-        std::vector<sdk::LoadedEnclave*> chain;
-        DescRing req;
-        DescRing resp;
-        hw::Vaddr ringReqVa = 0;   ///< heap allocations to free on disarm
-        hw::Vaddr ringRespVa = 0;
-        hw::Vaddr stagingVa = 0;
-        hw::CoreId pollerCore = 0;
-        /** Park TCSes, bottom (chain root) first. */
-        std::vector<hw::Paddr> parkTcses;
-        bool parked = false;
-        std::uint64_t lastActive = 0;
-        /** Injected poller-wedge: posts land but nothing drains. The
-         *  channel stays armed and every call fails typed until a
-         *  disarm (supervisor kick) tears it down. */
+        std::uint64_t riders = 0;  ///< channels riding this relay hop
+        /** Injected poller-wedge (leaf hops): posts land but nothing
+         *  drains. The channel stays armed and every call fails typed
+         *  until a disarm (supervisor kick) tears it down. */
         bool wedged = false;
-    };
 
-    /**
-     * Per-root ocall relay plumbing: dedicated rings + staging in host
-     * memory, armed lazily on the first relayed ocall. An ocall can
-     * surface from a tenant function mid-pump, so this map is kept
-     * apart from the channel maps call() is iterating.
-     */
-    struct OcallChannel {
-        DescRing req;
-        DescRing resp;
-        hw::Vaddr stagingVa = 0;
-        std::uint64_t stagingBytes = 0;
+        /** Heap owner of the rings: the parent of this hop's enclave,
+         *  or nullptr when they live in host memory (the chain root). */
+        sdk::LoadedEnclave* ringHost() const
+        {
+            return prefix.size() >= 2 ? prefix[prefix.size() - 2] : nullptr;
+        }
     };
 
     sgx::Machine& machine();
     std::uint64_t now();
 
-    /** Grabs a poller core from the top of the core space; -1-as-false
-     *  when none is spare. */
+    /** Grabs a poller core from the top of the core space; false when
+     *  none is spare. */
     bool takeCore(hw::CoreId& out);
     void releaseCore(hw::CoreId core);
 
-    bool armGateway(sdk::LoadedEnclave* outer);
-    bool armMid(const std::vector<sdk::LoadedEnclave*>& prefix);
-    bool armTenant(std::uint64_t key, const Endpoint& ep);
-    void disarmGateway(GatewayChannel& gw);
-    void disarmMid(sdk::LoadedEnclave* self);
-    void unparkTenant(TenantChannel& ch);
-    void unparkMid(MidChannel& mid);
-    void unparkGateway(GatewayChannel& gw);
+    /** Maps a host-memory hop's two rings and staging buffer. */
+    bool mapHostRings(Hop& hop);
+    Status initRings(Hop& hop, hw::CoreId core);
 
+    /** Places `hop`'s rings and parks a fresh poller for it. */
+    bool arm(Hop& hop);
+    /** EENTERs the chain root on `core`, then NEENTERs down the prefix.
+     *  A `fresh` park also touches every enclave it enters and
+     *  initialises the rings when the core sits in their host. */
+    bool park(Hop& hop, hw::CoreId core, bool fresh);
     /** Re-enters an AEX'd parked poller (ERESUME); false -> disarm. */
-    bool resumeTenant(TenantChannel& ch);
-    bool resumeMid(MidChannel& mid);
-    bool resumeGateway(GatewayChannel& gw);
-
-    /** The mid channels ch's chain passes through, root-side first. */
-    std::vector<MidChannel*> midsFor(const TenantChannel& ch);
-
-    /** Idle-fallback check for one tenant channel + its chain root. */
-    void idleCheck(std::uint64_t key, TenantChannel& ch);
+    bool resume(Hop& hop);
+    void unpark(Hop& hop);
+    /** Abandons the hop's rings, unparks it and frees its heap rings. */
+    void disarmHop(Hop& hop);
+    void freeHeapRings(Hop& hop);
+    /** Staging capacity of `hop`: host memory or parent heap. */
+    std::uint64_t stagingCap(const Hop& hop) const;
+    /** Drops one rider (when `leaving`) from each relay hop of `chain`,
+     *  deepest first, and disarms every deeper hop left riderless. */
+    void releaseRelays(const std::vector<sdk::LoadedEnclave*>& chain,
+                       bool leaving);
+    /** Idle fallback for one hop: unpark, then re-park on a fresh core. */
+    void idleCheck(Hop& hop, std::uint64_t t);
 
     /**
-     * The in-enclave middle of a call: each relay hop's poller drains
-     * its own ring and forwards one hop deeper (root poller first, then
-     * every mid in chain order), the leaf poller serves without a
-     * transition, and the response is relayed back up hop by hop onto
-     * the host-facing ring. A depth-2 chain has no mids and reduces
-     * exactly to the two-tier pump this generalises.
+     * The in-enclave middle of a call over `path` (root first, leaf
+     * last): each relay hop's poller drains its own ring and forwards
+     * one hop deeper, the leaf poller serves without a transition, and
+     * the response is relayed back up hop by hop onto the host-facing
+     * ring.
      */
-    Status pumpEnclaveSide(TenantChannel& ch, GatewayChannel& gw,
-                           const std::vector<MidChannel*>& mids,
-                           const Endpoint& ep, std::uint64_t reqId);
+    Status pumpEnclaveSide(const std::vector<Hop*>& path, const Endpoint& ep,
+                           std::uint64_t reqId);
 
     sdk::Urts& urts_;
     Config config_;
     EngineStats stats_;
-    std::map<sdk::LoadedEnclave*, GatewayChannel> gateways_;
-    std::map<sdk::LoadedEnclave*, MidChannel> mids_;
-    std::map<std::uint64_t, TenantChannel> tenants_;
+    /** Relay hops, keyed by the enclave their poller parks in. */
+    std::map<sdk::LoadedEnclave*, Hop> relays_;
+    /** Leaf hops, keyed by caller key. */
+    std::map<std::uint64_t, Hop> leaves_;
+    /**
+     * Per-root ocall rings in host memory, armed lazily on the first
+     * relayed ocall. An ocall can surface from a leaf function mid-pump,
+     * so this map is kept apart from the hop maps call() is using.
+     */
+    std::map<sdk::LoadedEnclave*, Hop> ocallRings_;
     std::vector<hw::CoreId> freeCores_;
     hw::CoreId nextHighCore_ = 0;
     bool coresInit_ = false;
     std::uint64_t nextRequestId_ = 1;
-    /** Ocall relay channels, keyed by chain-root enclave. */
-    std::map<sdk::LoadedEnclave*, OcallChannel> ocallChannels_;
 };
 
 }  // namespace nesgx::switchless

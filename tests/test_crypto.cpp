@@ -128,7 +128,9 @@ TEST(AesCtr, RoundTripAllLengths)
         Bytes back(len);
         aesCtrXcrypt(aes, iv, cipher, back.data());
         EXPECT_EQ(back, plain) << "len=" << len;
-        if (len >= 16) EXPECT_NE(cipher, plain);
+        if (len >= 16) {
+            EXPECT_NE(cipher, plain);
+        }
     }
 }
 

@@ -254,7 +254,6 @@ TEST_P(SwitchlessTest, OcallRelayServesInEnclaveOcallWithZeroTransitions)
     World world(machineConfig(4));
     switchless::Config cfg;
     cfg.enabled = true;
-    cfg.ocallRelay = true;
     switchless::SwitchlessEngine engine(*world.urts, cfg);
     world.urts->setOcallRelay(&engine);
 
@@ -325,6 +324,86 @@ INSTANTIATE_TEST_SUITE_P(TlbModes, SwitchlessTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                              return info.param ? "TaggedTlb" : "FlushedTlb";
                          });
+
+// --- relay hops die with their riders ------------------------------------
+
+/**
+ * Arms switchless for one tenant on `cores` cores, then rebuilds the
+ * tenant's whole gateway subtree and serves one request on the rebuilt
+ * instance. Returns the rebuild status; `armed` gets the channel count.
+ */
+Status
+rebuildArmedSubtree(serve::Topology topology, std::uint32_t cores,
+                    std::size_t& armed, std::uint64_t& verified)
+{
+    auto config = World::smallConfig();
+    config.coreCount = cores;
+    World world(config);
+    serve::TenantService::Config sc;
+    sc.registry.tenantsPerOuter = 3;
+    sc.registry.outerCodePages = 12;
+    sc.registry.outerHeapPages = 24;
+    sc.registry.innerCodePages = 4;
+    sc.registry.innerHeapPages = 8;
+    sc.registry.topology = topology;
+    sc.registry.cvmCodePages = 8;
+    sc.registry.cvmHeapPages = 24;
+    sc.registry.cvmTcs = 8;
+    sc.pool.batchSize = 4;
+    sc.switchless.enabled = true;
+    sc.switchless.hostCores = 2;
+    serve::TenantService service(*world.urts, sc);
+    EXPECT_TRUE(service.addTenant(0, Workload::Echo).isOk());
+    armed = service.armSwitchless();
+
+    const Status st = service.pool().rebuildSubtree(0);
+    serve::TenantClient client(0, Workload::Echo);
+    EXPECT_TRUE(service.submit(0, client.nextRequest()).isOk());
+    service.pump();
+    verified = 0;
+    for (serve::Completion& done : service.drain()) {
+        if (done.ok && client.onResponse(done.sealedResponse)) ++verified;
+    }
+    return st;
+}
+
+TEST(SwitchlessRelease, SubtreeRebuildUnparksTheFlatGatewayPoller)
+{
+    // The gateway is the chain root: its poller stays parked across
+    // rider churn, so the subtree rebuild must release it explicitly.
+    std::size_t armed = 0;
+    std::uint64_t verified = 0;
+    const Status st =
+        rebuildArmedSubtree(serve::Topology::Flat, 5, armed, verified);
+    EXPECT_EQ(armed, 1u);
+    EXPECT_TRUE(st.isOk()) << st.name();
+    EXPECT_EQ(verified, 1u);
+}
+
+TEST(SwitchlessRelease, FailedArmReleasesTheRiderlessMidHop)
+{
+    // Four cores leave two for pollers: the CVM root and the gateway
+    // park, the leaf finds no core, and the arm fails. The gateway hop
+    // it armed has no rider and must not stay parked in the gateway.
+    std::size_t armed = 0;
+    std::uint64_t verified = 0;
+    const Status st =
+        rebuildArmedSubtree(serve::Topology::Cvm, 4, armed, verified);
+    EXPECT_EQ(armed, 0u);
+    EXPECT_TRUE(st.isOk()) << st.name();
+    EXPECT_EQ(verified, 1u);
+}
+
+TEST(SwitchlessRelease, CvmSubtreeRebuildWithEveryHopArmed)
+{
+    std::size_t armed = 0;
+    std::uint64_t verified = 0;
+    const Status st =
+        rebuildArmedSubtree(serve::Topology::Cvm, 5, armed, verified);
+    EXPECT_EQ(armed, 1u);
+    EXPECT_TRUE(st.isOk()) << st.name();
+    EXPECT_EQ(verified, 1u);
+}
 
 // --- pinned switchless stream --------------------------------------------
 
